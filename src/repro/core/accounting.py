@@ -14,7 +14,7 @@ subscriber id (shared :class:`~repro.core.subscriber.SubscriberTable`),
 and the collection keeps a **dirty id set** — every balance mutation
 that is *not* the scheduler's own refill (credit, dispatch, cancel,
 feedback, node death, or any by-name account lookup that might mutate)
-marks the subscriber dirty, which is the signal the lazy scheduler uses
+marks the subscriber dirty, which is the signal the scheduler uses
 to wake a settled subscriber.  The refill itself must not mark, or no
 subscriber would ever settle.
 """
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.feedback import AccountingMessage
 from repro.core.grps import ResourceVector
@@ -61,17 +61,11 @@ class SubscriberAccount:
 class RDNAccounting:
     """All subscriber accounts plus the feedback-application logic.
 
-    ``partition`` names the subscribers this instance accounts for;
-    registering one outside it raises (``None`` = unpartitioned).
     ``table`` is the shared id table; pass the queues' table so the
     scheduler can address accounts by dense id.
     """
 
-    def __init__(
-        self,
-        partition: Optional[Iterable[str]] = None,
-        table: Optional[SubscriberTable] = None,
-    ) -> None:
+    def __init__(self, table: Optional[SubscriberTable] = None) -> None:
         self._accounts: Dict[str, SubscriberAccount] = {}
         self._owns_table = table is None
         self.table = table if table is not None else SubscriberTable()
@@ -80,9 +74,6 @@ class RDNAccounting:
         #: Ids whose balance may have changed outside the refill path
         #: since the scheduler last drained the set.
         self._dirty: Set[int] = set()
-        self.partition: Optional[Set[str]] = (
-            None if partition is None else set(partition)
-        )
         #: (time, subscriber, usage) samples, for deviation analysis.
         self.usage_log: List[Tuple[float, str, ResourceVector]] = []
         self.keep_usage_log = True
@@ -105,12 +96,6 @@ class RDNAccounting:
         """Create the account for a new subscriber."""
         if subscriber.name in self._accounts:
             raise RuntimeError("account {!r} already exists".format(subscriber.name))
-        if self.partition is not None and subscriber.name not in self.partition:
-            raise ValueError(
-                "subscriber {!r} outside this accounting partition".format(
-                    subscriber.name
-                )
-            )
         account = SubscriberAccount(subscriber)
         sid = self.table.intern(subscriber.name)
         account.sid = sid
@@ -140,22 +125,15 @@ class RDNAccounting:
         account.estimated.clear()
         self._by_id[account.sid] = None
         self._dirty.discard(account.sid)
-        if self.partition is not None:
-            self.partition.discard(name)
         if self._owns_table:
             self.table.release(name)
         return account
-
-    def extend_partition(self, name: str) -> None:
-        """Admit one more name into this instance's partition (churn)."""
-        if self.partition is not None:
-            self.partition.add(name)
 
     def account(self, name: str) -> SubscriberAccount:
         """Look up an account (KeyError if unknown).
 
         The caller may mutate the returned account, so its subscriber is
-        conservatively marked dirty (woken for the next lazy cycle).
+        conservatively marked dirty (woken for the next cycle).
         """
         account = self._accounts[name]
         self._dirty.add(account.sid)
@@ -193,7 +171,10 @@ class RDNAccounting:
 
     # -- scheduler-side operations ----------------------------------------
 
-    def refill(self, name: str, credit: ResourceVector, cap: ResourceVector) -> None:
+    @staticmethod
+    def refill_account(
+        account: SubscriberAccount, credit: ResourceVector, cap: ResourceVector
+    ) -> None:
         """Add one cycle's credit; accrual stops at ``cap``.
 
         Two invariants matter here:
@@ -211,21 +192,6 @@ class RDNAccounting:
         fixed point (at cap, or zero reservation) must be allowed to
         settle out of the per-cycle walk.
         """
-        self.refill_account(self._accounts[name], credit, cap)
-
-    def refill_by_id(
-        self, sid: int, credit: ResourceVector, cap: ResourceVector
-    ) -> None:
-        """Dense-id refill for the scheduler's hot path."""
-        account = self._by_id[sid]
-        if account is not None:
-            self.refill_account(account, credit, cap)
-
-    @staticmethod
-    def refill_account(
-        account: SubscriberAccount, credit: ResourceVector, cap: ResourceVector
-    ) -> None:
-        """Refill an already-resolved account (no lookup, no dirty mark)."""
         def refill_component(balance: float, add: float, limit: float) -> float:
             if balance >= limit:
                 return balance  # above cap: keep, but accrue no further

@@ -35,12 +35,6 @@ PLACEMENT_OFF = "off"
 PLACEMENT_UTILIZATION = "utilization"
 PLACEMENT_PROFIT = "profit"
 
-#: How death promotion picks among a subscriber's live backups:
-#: ``least_loaded`` re-balances (minimum committed utilization wins),
-#: ``first`` keeps the historic first-live-backup order.
-PLACEMENT_PROMOTE_LEAST_LOADED = "least_loaded"
-PLACEMENT_PROMOTE_FIRST = "first"
-
 
 @dataclass
 class GageConfig:
@@ -184,11 +178,6 @@ class GageConfig:
     #: capacity is reserved ahead of failures.
     placement_policy: str = PLACEMENT_OFF
     placement_k_backup: int = 1
-    #: Death-promotion choice among live backups: ``"least_loaded"``
-    #: promotes onto the backup with the lowest committed utilization
-    #: (heterogeneous clusters keep their balance across repeated
-    #: deaths); ``"first"`` is the historic first-live-backup order.
-    placement_promote_policy: str = PLACEMENT_PROMOTE_LEAST_LOADED
 
     def __post_init__(self) -> None:
         if self.scheduling_cycle_s <= 0:
@@ -260,13 +249,6 @@ class GageConfig:
             )
         if self.placement_k_backup < 0:
             raise ValueError("placement k_backup must be non-negative")
-        if self.placement_promote_policy not in (
-            PLACEMENT_PROMOTE_LEAST_LOADED,
-            PLACEMENT_PROMOTE_FIRST,
-        ):
-            raise ValueError(
-                "unknown promote policy: {!r}".format(self.placement_promote_policy)
-            )
         if self.proxy_event_loop not in ("auto", "uvloop", "asyncio"):
             raise ValueError(
                 "proxy_event_loop must be 'auto', 'uvloop', or 'asyncio'"

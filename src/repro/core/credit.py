@@ -10,15 +10,12 @@ themselves:
 - the **credit memo** — each subscriber's per-cycle refill vector and
   hoard cap depend only on its reservation and two config constants, so
   they are computed once and reused every 10 ms cycle.  The memo is
-  array-backed by the interned subscriber id on the hot path
-  (:meth:`cycle_credit_by_id`), with the name-keyed :meth:`cycle_credit`
-  kept for standalone use;
-- the **reserved-sum memo** — the summed reservation vector behind the
+  array-backed by the interned subscriber id (:meth:`cycle_credit`);
+- the **reserved sum** — the summed reservation vector behind the
   spare-pool computation (capacity minus reservations).  The scheduler
   feeds registrations through :meth:`add_reservation` /
-  :meth:`remove_reservation` so the sum is maintained incrementally:
-  O(1) per cycle instead of an O(total) rebuild whenever the subscriber
-  tuple changes;
+  :meth:`remove_reservation` so the sum is maintained incrementally,
+  O(1) per cycle;
 - the **spare deficit** — deficit-round-robin rollover of unused spare
   share, without which each queue forfeits its fractional share every
   cycle.
@@ -27,10 +24,9 @@ All arithmetic is kept in exactly the order the scheduler performed it
 before the extraction: a fixed-seed run through the ledger is
 byte-identical to one through the pre-extraction scheduler (the golden
 digest pins this).  In particular the incremental reserved sum adds
-vectors in registration order — the same float-summation order as the
-historical full rebuild — so no-churn runs are bit-equal; only a
-removal (churn) produces a sum the rebuild would not, and nothing is
-pinned under churn.
+vectors in registration order, so no-churn runs are bit-equal to
+summing the registered reservations from zero; only a removal (churn)
+produces a different sum, and nothing is pinned under churn.
 """
 
 from __future__ import annotations
@@ -56,16 +52,9 @@ class CreditLedger:
 
     def __init__(self, config: GageConfig) -> None:
         self.config = config
-        #: Per-subscriber (reservation_grps, credit, capped_credit) memo.
-        self._credit_cache: Dict[str, _CreditEntry] = {}
-        #: Dense-id mirror of the credit memo for the scheduler hot path.
+        #: Per-subscriber (reservation_grps, credit, capped_credit) memo,
+        #: indexed by the dense subscriber id.
         self._credit_by_id: List[Optional[_CreditEntry]] = []
-        #: (per-subscriber reservation key, summed reservation vector)
-        #: memo for the legacy spare-pool computation.
-        self._reserved_cache: Tuple[Tuple[Tuple[str, float], ...], ResourceVector] = (
-            (),
-            ResourceVector.ZERO,
-        )
         #: Incrementally-tracked reservation sum (per cycle) over the
         #: subscribers fed through add_reservation/remove_reservation.
         self._tracked_reserved = ResourceVector.ZERO
@@ -77,27 +66,15 @@ class CreditLedger:
     # -- reserved credit ----------------------------------------------------
 
     def cycle_credit(
-        self, subscriber: Subscriber
+        self, sid: int, subscriber: Subscriber
     ) -> Tuple[ResourceVector, ResourceVector]:
-        """(one cycle's refill, hoard cap) for one subscriber.
+        """(one cycle's refill, hoard cap) for the subscriber with id ``sid``.
 
         The cap bounds idle-time credit hoarding at
         ``credit_cap_cycles`` refills; callers further raise it to at
         least 1.5 predicted requests so heavy-tailed workloads can
         always dispatch (see :meth:`refill_cap`).
         """
-        grps = subscriber.reservation_grps
-        cached = self._credit_cache.get(subscriber.name)
-        if cached is not None and cached[0] == grps:
-            return cached[1], cached[2]
-        entry = self._compute_credit(subscriber)
-        self._credit_cache[subscriber.name] = entry
-        return entry[1], entry[2]
-
-    def cycle_credit_by_id(
-        self, sid: int, subscriber: Subscriber
-    ) -> Tuple[ResourceVector, ResourceVector]:
-        """Dense-id variant of :meth:`cycle_credit` (the hot path)."""
         cache = self._credit_by_id
         if sid < len(cache):
             cached = cache[sid]
@@ -107,12 +84,10 @@ class CreditLedger:
         while len(cache) <= sid:
             cache.append(None)
         cache[sid] = entry
-        self._credit_cache[subscriber.name] = entry
         return entry[1], entry[2]
 
-    def forget_credit(self, name: str, sid: int = -1) -> None:
-        """Drop a departed subscriber's memo entries (churn)."""
-        self._credit_cache.pop(name, None)
+    def forget_credit(self, sid: int) -> None:
+        """Drop a departed subscriber's memo entry (churn)."""
         if 0 <= sid < len(self._credit_by_id):
             self._credit_by_id[sid] = None
 
@@ -161,34 +136,11 @@ class CreditLedger:
     def spare_pool_tracked(self, capacity_per_s: ResourceVector) -> ResourceVector:
         """Capacity this cycle beyond the tracked reservation sum.
 
-        O(1): uses the incrementally-maintained sum instead of walking
-        every subscriber — the scheduler keeps the tracked set in sync
-        through its queue-registration hooks.
+        O(1): the scheduler keeps the tracked sum in sync through its
+        queue-registration hooks.
         """
         capacity = capacity_per_s.scaled(self.config.scheduling_cycle_s)
         return (capacity - self._tracked_reserved).clamped_min(0.0)
-
-    def spare_pool(
-        self, capacity_per_s: ResourceVector, subscribers: List[Subscriber]
-    ) -> ResourceVector:
-        """Capacity this cycle beyond the sum of all reservations.
-
-        The legacy O(total)-rebuild form, kept for standalone callers
-        that do not maintain the tracked sum.
-        """
-        cycle = self.config.scheduling_cycle_s
-        capacity = capacity_per_s.scaled(cycle)
-        key = tuple((s.name, s.reservation_grps) for s in subscribers)
-        if key == self._reserved_cache[0]:
-            reserved = self._reserved_cache[1]
-        else:
-            reserved = ResourceVector.ZERO
-            for subscriber in subscribers:
-                reserved = reserved + subscriber.reservation_vector(
-                    self.config.generic_request
-                ).scaled(cycle)
-            self._reserved_cache = (key, reserved)
-        return (capacity - reserved).clamped_min(0.0)
 
     def spare_weights(self, backlogged: List[RequestQueue]) -> Dict[str, float]:
         """Normalized spare-share weights over the backlogged queues."""

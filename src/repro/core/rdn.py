@@ -151,7 +151,6 @@ class PrimaryRDN:
                 k_backup=config.placement_k_backup,
                 objective=config.placement_policy,
                 generic=config.generic_request,
-                promote_policy=config.placement_promote_policy,
             )
         #: Subscribers awaiting embedding because no RPN had been
         #: registered yet when they arrived (constructor-time

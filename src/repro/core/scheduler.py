@@ -26,21 +26,20 @@ same value.  It re-enters the walk ("wakes") when its queue sees an
 balance mutation lands (the accounting's dirty set) — feedback,
 spare credit, cancellation refunds, node death, or an external by-name
 account access.  Because settling requires the *exact* fixed point, the
-fixed-seed dispatch/accounting stream is byte-identical to the historic
-every-subscriber walk (the golden digest pins this).
+fixed-seed dispatch/accounting stream is byte-identical to visiting
+every subscriber every cycle (the golden digest pins this).
 
-The O(active) path needs queue ids and account ids to agree, i.e. the
-queues and the accounting must share one
-:class:`~repro.core.subscriber.SubscriberTable`.  With separate tables
-(legacy wiring, many unit tests) the scheduler transparently falls back
-to the historic every-subscriber walk — same decisions, original cost.
+Settling needs queue ids and account ids to agree, so the queues and
+the accounting must share one
+:class:`~repro.core.subscriber.SubscriberTable`; the constructor refuses
+anything else.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.accounting import RDNAccounting, SubscriberAccount
 from repro.core.config import (
@@ -84,39 +83,23 @@ class RequestScheduler:
         accounting: RDNAccounting,
         node_scheduler: NodeScheduler,
         dispatch_fn: DispatchFn,
-        ledger: Optional[CreditLedger] = None,
-        partition: Optional[Iterable[str]] = None,
         placement: Optional[PlacementEngine] = None,
     ) -> None:
+        if queues.table is not accounting.table:
+            raise ValueError("queues and accounting must share one SubscriberTable")
         self.config = config
         self.queues = queues
         self.accounting = accounting
         self.node_scheduler = node_scheduler
         self.dispatch_fn = dispatch_fn
-        #: Credit vectors, spare-pool memos, and the deficit-round-robin
-        #: rollover live in the (injectable) ledger so a sharded control
-        #: plane can run one per partition.
-        self.ledger = ledger if ledger is not None else CreditLedger(config)
+        #: Credit vectors, the reservation sum behind the spare pool, and
+        #: the deficit-round-robin rollover.
+        self.ledger = CreditLedger(config)
         #: Optional placement layer: when present, each subscriber may
         #: only be dispatched to the RPNs its embedding allows.
         self.placement = placement
-        #: The subscriber names this instance is responsible for (None =
-        #: unpartitioned, the single-instance control plane).  Queues
-        #: registered outside the partition are a wiring bug.
-        self.partition: Optional[Set[str]] = (
-            None if partition is None else set(partition)
-        )
-        if self.partition is not None:
-            for subscriber in queues.subscribers():
-                if subscriber.name not in self.partition:
-                    raise ValueError(
-                        "queue {!r} outside scheduler partition".format(subscriber.name)
-                    )
         self._estimators: Dict[str, UsageEstimator] = {}
-        #: O(active) machinery: ids scheduled next cycle.  Lazy settling
-        #: needs queue ids == account ids (one shared SubscriberTable);
-        #: otherwise every registered queue stays permanently active.
-        self._lazy = queues.table is accounting.table
+        #: Ids the next cycle walks; settled subscribers are absent.
         self._active: Set[int] = set(queues.sorted_ids())
         for queue in queues:
             self.ledger.add_reservation(queue.subscriber)
@@ -146,18 +129,14 @@ class RequestScheduler:
     def _on_queue_registered(self, queue: RequestQueue) -> None:
         self.ledger.add_reservation(queue.subscriber)
         self._active.add(queue.sid)
-        if self.partition is not None:
-            self.partition.add(queue.subscriber.name)
 
     def _on_queue_unregistered(self, queue: RequestQueue) -> None:
         name = queue.subscriber.name
         self.ledger.remove_reservation(name)
-        self.ledger.forget_credit(name, queue.sid)
+        self.ledger.forget_credit(queue.sid)
         self._active.discard(queue.sid)
         self._estimators.pop(name, None)
         self._balance_gauges.pop(name, None)
-        if self.partition is not None:
-            self.partition.discard(name)
 
     def estimator(self, name: str) -> UsageEstimator:
         """The usage estimator for one subscriber's queue.
@@ -166,12 +145,10 @@ class RequestScheduler:
         estimator, which changes the refill cap a settled subscriber was
         judged against.
         """
-        estimator = self._estimator(name)
-        if self._lazy:
-            queue = self.queues.get(name)
-            if queue is not None:
-                self._active.add(queue.sid)
-        return estimator
+        queue = self.queues.get(name)
+        if queue is not None:
+            self._active.add(queue.sid)
+        return self._estimator(name)
 
     def _estimator(self, name: str) -> UsageEstimator:
         estimator = self._estimators.get(name)
@@ -199,15 +176,8 @@ class RequestScheduler:
         active = self._active
 
         # Wake subscribers with activity since the last cycle.
-        for sid in queues.drain_activity():
-            active.add(sid)
-        if self._lazy:
-            for sid in self.accounting.drain_dirty():
-                active.add(sid)
-        else:
-            # Separate id spaces: no settling, walk every queue (the
-            # historic behavior and cost).
-            active.update(queues.sorted_ids())
+        active.update(queues.drain_activity())
+        active.update(self.accounting.drain_dirty())
 
         # Pass 1: reserved credit, weighted round-robin over the active
         # queues.  The visit order rotates each cycle over the *full*
@@ -227,7 +197,7 @@ class RequestScheduler:
                     continue
                 subscriber = queue.subscriber
                 name = subscriber.name
-                credit, capped = self.ledger.cycle_credit_by_id(sid, subscriber)
+                credit, capped = self.ledger.cycle_credit(sid, subscriber)
                 # The cap bounds idle-time credit hoarding, but must always
                 # admit at least one predicted request or a subscriber whose
                 # requests are larger than credit_cap_cycles' worth of credit
@@ -235,15 +205,13 @@ class RequestScheduler:
                 estimator = self._estimator(name)
                 predicted = estimator.predict()
                 cap = self.ledger.refill_cap(capped, predicted)
-                account: Optional[SubscriberAccount] = None
-                if self._lazy:
-                    account = self.accounting.account_by_id(sid)
+                account = self.accounting.account_by_id(sid)
                 if account is None:
-                    account = self.accounting.account(name)
+                    raise KeyError(name)
                 self.accounting.refill_account(account, credit, cap)
                 decisions.extend(self._drain_reserved(queue, account, estimator))
                 self._note_balance(name, account)
-                if self._lazy and not queue.backlogged:
+                if not queue.backlogged:
                     # Settle once the refill is an exact fixed point:
                     # skipping this subscriber next cycle is a no-op.
                     balance = account.balance
@@ -428,10 +396,9 @@ class RequestScheduler:
         for name, report in message.per_subscriber.items():
             queue = self.queues.get(name)
             if queue is not None:
-                if self._lazy:
-                    # Feedback mutates the estimator (refill cap) and the
-                    # balance: wake the subscriber for the next cycle.
-                    self._active.add(queue.sid)
+                # Feedback mutates the estimator (refill cap) and the
+                # balance: wake the subscriber for the next cycle.
+                self._active.add(queue.sid)
                 estimator = self._estimator(name)
                 if report.completed > 0:
                     # Prediction error: how far the dispatch-time estimate
@@ -448,3 +415,37 @@ class RequestScheduler:
         for vec in backed_out.values():
             total = total + vec
         self.node_scheduler.on_feedback(message.rpn_id, total)
+
+    # -- hierarchical-credit hooks ------------------------------------------------
+
+    def credit_report(self) -> Tuple[Dict[str, ResourceVector], Dict[str, int]]:
+        """(unused credit, backlog depth) per subscriber, for a global allocator.
+
+        An idle subscriber (no backlog) offers the positive balance it
+        hoards beyond one cycle's refill — the next refill keeps it
+        serving an arriving burst until the following grant round; a
+        backlogged one offers nothing and reports its queue depth.
+        Read-only: taking a report wakes no settled subscriber.
+        """
+        unused: Dict[str, ResourceVector] = {}
+        backlog: Dict[str, int] = {}
+        for queue in self.queues:
+            name = queue.subscriber.name
+            depth = len(queue)
+            if depth > 0:
+                backlog[name] = depth
+                continue
+            account = self.accounting.account_by_id(queue.sid)
+            if account is None:
+                raise KeyError(name)
+            credit, _capped = self.ledger.cycle_credit(queue.sid, queue.subscriber)
+            offer = (account.balance - credit).clamped_min(0.0)
+            if offer != ResourceVector.ZERO:
+                unused[name] = offer
+        return unused, backlog
+
+    def apply_credit_grant(self, net: Mapping[str, ResourceVector]) -> None:
+        """Apply an allocator's per-subscriber (grant minus reclaim) deltas."""
+        for name, delta in net.items():
+            if self.queues.get(name) is not None and delta != ResourceVector.ZERO:
+                self.accounting.credit(name, delta)

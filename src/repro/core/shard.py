@@ -33,7 +33,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.accounting import RDNAccounting
 from repro.core.config import GageConfig
-from repro.core.credit import CreditLedger
 from repro.core.feedback import AccountingMessage
 from repro.core.grps import ResourceVector
 from repro.core.node_scheduler import NodeScheduler
@@ -287,8 +286,7 @@ class GlobalAllocator:
 class SchedulerShard:
     """One partition's full control-plane stack.
 
-    Owns the partitioned :class:`SubscriberQueues`,
-    :class:`RDNAccounting`, :class:`CreditLedger`, and
+    Owns the :class:`SubscriberQueues`, :class:`RDNAccounting`, and
     :class:`RequestScheduler` for one subset of the subscribers, plus
     its (capacity-sliced) :class:`NodeScheduler` view of the cluster.
     """
@@ -303,22 +301,17 @@ class SchedulerShard:
     ) -> None:
         self.shard_id = shard_id
         self.config = config
-        names = [subscriber.name for subscriber in subscribers]
         # One SubscriberTable per shard spans its queues and accounting,
-        # so both resolve a name to the same dense interned id (and the
-        # scheduler runs its lazy O(active) walk).
-        self.queues = SubscriberQueues(partition=names)
-        self.accounting = RDNAccounting(partition=names, table=self.queues.table)
+        # so both resolve a name to the same dense interned id.
+        self.queues = SubscriberQueues()
+        self.accounting = RDNAccounting(table=self.queues.table)
         self.node_scheduler = node_scheduler
-        self.ledger = CreditLedger(config)
         self.scheduler = RequestScheduler(
             config,
             self.queues,
             self.accounting,
             node_scheduler,
             dispatch_fn=dispatch_fn,
-            ledger=self.ledger,
-            partition=names,
         )
         for subscriber in subscribers:
             self.queues.register(subscriber)
@@ -328,9 +321,6 @@ class SchedulerShard:
 
     def add_subscriber(self, subscriber: Subscriber) -> None:
         """Admit one subscriber into this shard mid-run (churn)."""
-        self.queues.extend_partition(subscriber.name)
-        self.accounting.extend_partition(subscriber.name)
-        # The scheduler's registration hook extends its own partition.
         self.queues.register(subscriber)
         self.accounting.register(subscriber)
 
@@ -366,33 +356,13 @@ class SchedulerShard:
     # -- hierarchical-credit hooks ------------------------------------------
 
     def credit_report(self) -> ShardCreditReport:
-        """This shard's offer to the global allocator.
-
-        An idle subscriber (no backlog) offers the positive balance it
-        hoards beyond one cycle's refill — the next refill keeps it
-        serving an arriving burst until the following grant round.
-        """
-        unused: Dict[str, ResourceVector] = {}
-        backlog: Dict[str, int] = {}
-        for queue in self.queues:
-            name = queue.subscriber.name
-            depth = len(queue)
-            if depth > 0:
-                backlog[name] = depth
-                continue
-            credit, _capped = self.ledger.cycle_credit(queue.subscriber)
-            balance = self.accounting.account(name).balance
-            offer = (balance - credit).clamped_min(0.0)
-            if not _is_zero(offer):
-                unused[name] = offer
+        """This shard's offer to the global allocator."""
+        unused, backlog = self.scheduler.credit_report()
         return ShardCreditReport(self.shard_id, unused=unused, backlog=backlog)
 
     def apply_grant(self, grant: CreditGrant) -> None:
         """Apply one allocator answer as atomic balance adjustments."""
-        for name, delta in grant.net().items():
-            if self.queues.get(name) is None or _is_zero(delta):
-                continue
-            self.accounting.credit(name, delta)
+        self.scheduler.apply_credit_grant(grant.net())
 
 
 class ShardedScheduler:

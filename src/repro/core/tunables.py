@@ -342,12 +342,6 @@ def _registry() -> Tuple[Tunable, ...]:
             "Backup RPNs reserved per placed subscriber.",
             lo=0, hi=3,
         ),
-        Tunable(
-            "placement_promote_policy", CHOICE, "least_loaded",
-            "Backup chosen when a primary dies (`first` is the legacy "
-            "first-live-backup scan).",
-            choices=("least_loaded", "first"),
-        ),
     )
 
 

@@ -4,7 +4,8 @@ Runs the *identical* scheduling/accounting code as the simulator —
 :class:`~repro.core.queues.SubscriberQueues`,
 :class:`~repro.core.scheduler.RequestScheduler`,
 :class:`~repro.core.node_scheduler.NodeScheduler`,
-:class:`~repro.core.accounting.RDNAccounting` — driven by asyncio tasks
+:class:`~repro.core.accounting.RDNAccounting`, queues and accounting on
+one subscriber table as in the simulated RDN — driven by asyncio tasks
 instead of simulated processes:
 
 - the **scheduler task** wakes every scheduling cycle (10 ms) and runs
@@ -127,7 +128,7 @@ class GageProxy(ClientSessionMixin):
         self.stats = ProxyStats()
         self.classifier = RequestClassifier(host_extractor=lambda head: head.host)
         self.queues = SubscriberQueues()
-        self.accounting = RDNAccounting()
+        self.accounting = RDNAccounting(table=self.queues.table)
         self.accounting.keep_usage_log = False
         self.node_scheduler = NodeScheduler(
             policy=self.config.node_policy, window_s=self.config.dispatch_window_s
@@ -291,42 +292,19 @@ class GageProxy(ClientSessionMixin):
     def _now() -> float:
         return asyncio.get_event_loop().time()
 
-    # -- hierarchical-credit hooks (multi-worker front end) ------------------
-
-    def credit_report(self) -> Tuple[Dict[str, ResourceVector], Dict[str, int]]:
-        """(unused credit, backlog depth) per subscriber, for the supervisor.
-
-        Mirrors :meth:`repro.core.shard.SchedulerShard.credit_report`:
-        an idle subscriber offers the positive balance it hoards beyond
-        one cycle's refill; a backlogged one offers nothing and reports
-        its queue depth instead.
-        """
-        unused: Dict[str, ResourceVector] = {}
-        backlog: Dict[str, int] = {}
-        for queue in self.queues:
-            name = queue.subscriber.name
-            depth = len(queue)
-            if depth > 0:
-                backlog[name] = depth
-                continue
-            credit, _capped = self.scheduler.ledger.cycle_credit(queue.subscriber)
-            offer = (self.accounting.account(name).balance - credit).clamped_min(0.0)
-            if offer != ResourceVector.ZERO:
-                unused[name] = offer
-        return unused, backlog
-
-    def apply_credit_grant(self, net: Dict[str, ResourceVector]) -> None:
-        """Apply the supervisor's per-subscriber balance adjustments."""
-        for name, delta in net.items():
-            if self.queues.get(name) is not None and delta != ResourceVector.ZERO:
-                self.accounting.credit(name, delta)
+    # -- multi-worker front end ----------------------------------------------
 
     def balances(self) -> Dict[str, ResourceVector]:
-        """Current per-subscriber credit balances (for restart reclaim)."""
-        return {
-            account.subscriber.name: account.balance
-            for account in self.accounting.accounts()
-        }
+        """Current per-subscriber credit balances (for restart reclaim).
+
+        Read by dense id, so taking them wakes no settled subscriber.
+        """
+        out: Dict[str, ResourceVector] = {}
+        for queue in self.queues:
+            account = self.accounting.account_by_id(queue.sid)
+            if account is not None:
+                out[queue.subscriber.name] = account.balance
+        return out
 
     # -- dispatch ----------------------------------------------------------------
 

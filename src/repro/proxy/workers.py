@@ -150,7 +150,7 @@ async def _report_loop(
     seq = 0
     while True:
         await asyncio.sleep(spec.config.accounting_cycle_s)
-        unused, backlog = proxy.credit_report()
+        unused, backlog = proxy.scheduler.credit_report()
         seq += 1
         message: Dict[str, object] = {
             "type": "report",
@@ -196,7 +196,7 @@ async def _worker_async(spec: WorkerSpec) -> None:
                 continue
             mtype = message.get("type")
             if mtype == "grant":
-                proxy.apply_credit_grant(_vec_map_from_wire(message.get("net")))
+                proxy.scheduler.apply_credit_grant(_vec_map_from_wire(message.get("net")))
             elif mtype == "stop":
                 return
     finally:

@@ -40,12 +40,16 @@ def test_refill_caps_positive_only():
     accounting = make_accounting()
     cap = ResourceVector(0.04, 0.04, 8000)
     for _ in range(10):
-        accounting.refill("a", ResourceVector(0.01, 0.01, 2000), cap)
+        accounting.refill_account(
+            accounting.account("a"), ResourceVector(0.01, 0.01, 2000), cap
+        )
     assert accounting.account("a").balance == cap
 
     # Debt is not forgiven by the cap.
     accounting.account("a").balance = ResourceVector(-1.0, -1.0, -1000)
-    accounting.refill("a", ResourceVector(0.01, 0.01, 2000), cap)
+    accounting.refill_account(
+        accounting.account("a"), ResourceVector(0.01, 0.01, 2000), cap
+    )
     balance = accounting.account("a").balance
     assert balance.cpu_s == pytest.approx(-0.99)
 

@@ -13,7 +13,7 @@ def make_ledger(**config_kwargs):
 def test_cycle_credit_is_one_cycles_reservation():
     ledger = make_ledger(scheduling_cycle_s=0.010, credit_cap_cycles=4.0)
     sub = Subscriber("a", reservation_grps=100)
-    credit, capped = ledger.cycle_credit(sub)
+    credit, capped = ledger.cycle_credit(0, sub)
     # 100 GRPS * 10 ms = 1 generic request per cycle.
     assert credit == GENERIC_REQUEST
     assert capped == GENERIC_REQUEST.scaled(4.0)
@@ -21,10 +21,10 @@ def test_cycle_credit_is_one_cycles_reservation():
 
 def test_cycle_credit_memo_tracks_reservation_changes():
     ledger = make_ledger()
-    first, _ = ledger.cycle_credit(Subscriber("a", reservation_grps=100))
-    again, _ = ledger.cycle_credit(Subscriber("a", reservation_grps=100))
+    first, _ = ledger.cycle_credit(0, Subscriber("a", reservation_grps=100))
+    again, _ = ledger.cycle_credit(0, Subscriber("a", reservation_grps=100))
     assert again == first
-    changed, _ = ledger.cycle_credit(Subscriber("a", reservation_grps=200))
+    changed, _ = ledger.cycle_credit(0, Subscriber("a", reservation_grps=200))
     assert changed == first.scaled(2.0)
 
 
@@ -40,20 +40,21 @@ def test_refill_cap_never_below_predicted_request():
 
 def test_spare_pool_is_capacity_minus_reservations():
     ledger = make_ledger(scheduling_cycle_s=0.010)
-    subs = [Subscriber("a", 100), Subscriber("b", 50)]
+    for sub in [Subscriber("a", 100), Subscriber("b", 50)]:
+        ledger.add_reservation(sub)
     capacity = ResourceVector(1.0, 1.0, 12_500_000.0)  # 100 GRPS-ish
-    pool = ledger.spare_pool(capacity, subs)
+    pool = ledger.spare_pool_tracked(capacity)
     reserved = GENERIC_REQUEST.scaled(1.5)  # 150 GRPS * 10 ms
     expect = (capacity.scaled(0.010) - reserved).clamped_min(0.0)
     assert pool == expect
-    # Memoized path returns the same answer.
-    assert ledger.spare_pool(capacity, subs) == expect
+    # Asking again returns the same answer.
+    assert ledger.spare_pool_tracked(capacity) == expect
 
 
 def test_spare_pool_clamps_overbooked_cluster_to_zero():
     ledger = make_ledger(scheduling_cycle_s=0.010)
-    subs = [Subscriber("a", 10_000)]
-    assert ledger.spare_pool(ResourceVector(1.0, 1.0, 12_500_000.0), subs) == (
+    ledger.add_reservation(Subscriber("a", 10_000))
+    assert ledger.spare_pool_tracked(ResourceVector(1.0, 1.0, 12_500_000.0)) == (
         ResourceVector.ZERO
     )
 

@@ -5,8 +5,6 @@ import pytest
 from repro.core.grps import GENERIC_REQUEST, ResourceVector
 from repro.core.placement import (
     PLACEMENT_PROFIT,
-    PLACEMENT_PROMOTE_FIRST,
-    PLACEMENT_PROMOTE_LEAST_LOADED,
     PLACEMENT_UTILIZATION,
     PROFIT_MAX_UTILIZATION,
     PlacementEngine,
@@ -220,10 +218,10 @@ def test_rejects_unknown_objective():
         PlacementEngine(k_backup=-1)
 
 
-def _two_tier_engine(promote_policy):
+def _two_tier_engine():
     # "prim" and "b1" are small (100 GRPS), "b2" is big (300 GRPS): the
     # same absolute reservations utilize b2 three times less.
-    eng = PlacementEngine(k_backup=2, promote_policy=promote_policy)
+    eng = PlacementEngine(k_backup=2)
     eng.add_node("prim", NODE_CAPACITY)
     eng.add_node("b1", NODE_CAPACITY)
     eng.add_node("b2", ResourceVector(3.0, 3.0, 600_000.0))
@@ -240,9 +238,9 @@ def _two_tier_engine(promote_policy):
 
 def test_promotion_picks_the_least_loaded_backup():
     # At death time b1 is 60% utilized (both reservations on 100 GRPS)
-    # and b2 only 20% (same 60 on 300 GRPS): the default policy must
+    # and b2 only 20% (same 60 on 300 GRPS): the engine must
     # promote onto b2 even though s1 reserved b1 first.
-    eng = _two_tier_engine(PLACEMENT_PROMOTE_LEAST_LOADED)
+    eng = _two_tier_engine()
     report = eng.on_node_death("prim")
     assert report.violated == []
     assert sorted(report.promoted) == ["s1", "s2"]
@@ -250,20 +248,11 @@ def test_promotion_picks_the_least_loaded_backup():
     assert eng.embedding_of("s2").primary == "b2"
 
 
-def test_promotion_first_policy_is_the_legacy_scan():
-    eng = _two_tier_engine(PLACEMENT_PROMOTE_FIRST)
-    report = eng.on_node_death("prim")
-    assert report.violated == []
-    # Legacy: whatever backup was reserved first wins, load unseen.
-    assert eng.embedding_of("s1").primary == "b1"
-    assert eng.embedding_of("s2").primary == "b2"
-
-
 def test_repeated_deaths_keep_rekeyed_reservations():
     # After the first promotion the surviving backup's reservation is
     # re-keyed to the new primary, so a second death still finds it and
     # promotes without violating any guarantee.
-    eng = _two_tier_engine(PLACEMENT_PROMOTE_LEAST_LOADED)
+    eng = _two_tier_engine()
     eng.on_node_death("prim")
     assert eng.embedding_of("s1").backups == ["b1"]
     report = eng.on_node_death("b2")
@@ -275,11 +264,6 @@ def test_repeated_deaths_keep_rekeyed_reservations():
     # b1 now carries both promoted demands as primary use.
     view = eng.node_view("b1")
     assert view.committed.in_generic_requests(GENERIC_REQUEST) == pytest.approx(60.0)
-
-
-def test_promotion_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        PlacementEngine(promote_policy="coin_flip")
 
 
 def test_backup_reservations_are_summed_not_shared():

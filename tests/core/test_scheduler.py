@@ -23,7 +23,7 @@ def build(subscribers, rpns=4, config=None):
     """Assemble a scheduler over in-memory queues; returns the parts."""
     config = config or GageConfig()
     queues = SubscriberQueues()
-    accounting = RDNAccounting()
+    accounting = RDNAccounting(table=queues.table)
     nodes = NodeScheduler(policy=config.node_policy, window_s=config.dispatch_window_s)
     for sub in subscribers:
         queues.register(sub)

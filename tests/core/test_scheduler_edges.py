@@ -19,7 +19,7 @@ CAPACITY = ResourceVector(1.0, 1.0, 12_500_000)
 def build(subscribers, rpns=2, config=None):
     config = config or GageConfig()
     queues = SubscriberQueues()
-    accounting = RDNAccounting()
+    accounting = RDNAccounting(table=queues.table)
     nodes = NodeScheduler(policy=config.node_policy, window_s=config.dispatch_window_s)
     for sub in subscribers:
         queues.register(sub)

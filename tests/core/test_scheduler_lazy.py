@@ -1,4 +1,6 @@
-"""O(active) scheduler walk: settling, waking, and eager equivalence."""
+"""O(active) scheduler walk: settling, waking, and visit-everyone equivalence."""
+
+import pytest
 
 from repro.core import (
     GageConfig,
@@ -15,13 +17,11 @@ from repro.core.grps import GENERIC_REQUEST, ResourceVector
 RPN_CAPACITY = ResourceVector(1.0, 1.0, 12_500_000)
 
 
-def build(subscribers, rpns=4, config=None, shared_table=True):
-    """Assemble a scheduler; shared_table selects the O(active) path."""
+def build(subscribers, rpns=4, config=None):
+    """Assemble a scheduler over in-memory queues; returns the parts."""
     config = config or GageConfig()
     queues = SubscriberQueues()
-    accounting = (
-        RDNAccounting(table=queues.table) if shared_table else RDNAccounting()
-    )
+    accounting = RDNAccounting(table=queues.table)
     nodes = NodeScheduler(policy=config.node_policy, window_s=config.dispatch_window_s)
     for sub in subscribers:
         queues.register(sub)
@@ -59,6 +59,19 @@ def feedback(scheduler, rpn_id, usage_per_request, completed_by_name, now=1.0):
     scheduler.apply_feedback(message)
 
 
+def run_cycle(scheduler, queues, wake_all):
+    """One cycle; ``wake_all`` is the reference walk that settles nobody.
+
+    Waking every subscriber through the public estimator accessor before
+    the cycle makes the scheduler visit all of them, so comparing against
+    it pins that skipping settled subscribers changes nothing.
+    """
+    if wake_all:
+        for queue in queues:
+            scheduler.estimator(queue.subscriber.name)
+    return scheduler.run_cycle()
+
+
 def subs(count, reservation_grps=100):
     # 100 GRPS => one generic request of credit per cycle, so the hoard
     # cap (4 cycles' worth) is reached — and idle subscribers settle —
@@ -69,11 +82,17 @@ def subs(count, reservation_grps=100):
     ]
 
 
-def test_lazy_mode_requires_shared_table():
-    lazy, *_ = build(subs(2), shared_table=True)
-    eager, *_ = build(subs(2), shared_table=False)
-    assert lazy._lazy
-    assert not eager._lazy
+def test_separate_tables_are_refused():
+    config = GageConfig()
+    nodes = NodeScheduler(policy=config.node_policy, window_s=config.dispatch_window_s)
+    with pytest.raises(ValueError):
+        RequestScheduler(
+            config,
+            SubscriberQueues(),
+            RDNAccounting(),
+            nodes,
+            dispatch_fn=lambda req, rpn, name, predicted: None,
+        )
 
 
 def test_idle_subscribers_settle_out_of_the_walk():
@@ -128,11 +147,10 @@ def test_estimator_access_wakes_a_settled_subscriber():
 def test_lazy_and_eager_make_identical_decisions():
     """The settled-subscriber skip must be a behavioral no-op."""
 
-    def run(shared_table):
+    def run(wake_all):
         scheduler, queues, _acc, _nodes, dispatched = build(
             subs(20, reservation_grps=50),
             rpns=4,
-            shared_table=shared_table,
         )
         trace = []
         for cycle in range(200):
@@ -142,7 +160,7 @@ def test_lazy_and_eager_make_identical_decisions():
                 fill(queues, "sub{:04d}".format((cycle // 7) % 20), 5)
             if cycle % 13 == 0:
                 fill(queues, "sub0002", 3)
-            decisions = scheduler.run_cycle()
+            decisions = run_cycle(scheduler, queues, wake_all)
             trace.extend(
                 (cycle, d.subscriber, d.rpn_id, d.spare) for d in decisions
             )
@@ -156,23 +174,21 @@ def test_lazy_and_eager_make_identical_decisions():
                 )
         return trace
 
-    assert run(shared_table=True) == run(shared_table=False)
+    assert run(wake_all=False) == run(wake_all=True)
 
 
 def test_settled_balances_match_eager_balances():
-    def balances(shared_table):
-        scheduler, queues, accounting, _nodes, _d = build(
-            subs(10), shared_table=shared_table
-        )
+    def balances(wake_all):
+        scheduler, queues, accounting, _nodes, _d = build(subs(10))
         fill(queues, "sub0000", 50)
         for _ in range(30):
-            scheduler.run_cycle()
+            run_cycle(scheduler, queues, wake_all)
         return {
             name: accounting.account(name).balance
             for name in ("sub0000", "sub0004", "sub0009")
         }
 
-    assert balances(shared_table=True) == balances(shared_table=False)
+    assert balances(wake_all=False) == balances(wake_all=True)
 
 
 def test_churn_while_settled():

@@ -17,7 +17,7 @@ from repro.core import (
     SubscriberQueues,
 )
 from repro.core.feedback import AccountingMessage, RPNUsageReport
-from repro.core.grps import ResourceVector
+from repro.core.grps import GENERIC_REQUEST, ResourceVector
 
 #: An RPN that can deliver 100 generic requests per second.
 RPN_CAPACITY = ResourceVector(1.0, 1.0, 12_500_000)
@@ -199,7 +199,7 @@ def test_rebalance_conserves_credit_under_random_reports():
 def build_legacy(subscribers, config, rpns=4):
     """The single-instance control plane, assembled by hand."""
     queues = SubscriberQueues()
-    accounting = RDNAccounting()
+    accounting = RDNAccounting(table=queues.table)
     nodes = NodeScheduler(policy=config.node_policy, window_s=config.dispatch_window_s)
     for sub in subscribers:
         queues.register(sub)
@@ -310,8 +310,27 @@ def test_credit_report_offers_hoard_and_reports_backlog():
     # "a" hoards 4 cycles of credit (the cap); it offers all but one
     # cycle's refill back to the pool.
     offered = report.unused["a"]
-    credit, _ = shard.ledger.cycle_credit(subscribers[0])
+    sid = shard.queues.get("a").sid
+    credit, _ = shard.scheduler.ledger.cycle_credit(sid, subscribers[0])
     assert offered.cpu_s == pytest.approx(credit.scaled(3.0).cpu_s)
+
+
+def test_credit_report_wakes_no_settled_subscriber():
+    subscribers = [Subscriber("sub{}".format(i), 100) for i in range(10)]
+    sharded = ShardedScheduler(subscribers, {"rpn0": RPN_CAPACITY}, num_shards=1)
+    shard = sharded.shards[0]
+    for _ in range(10):  # all idle: everyone reaches the cap and settles
+        shard.run_cycle()
+    assert shard.scheduler.active_count() == 0
+    report = shard.credit_report()
+    assert shard.accounting.drain_dirty() == []  # nobody to re-visit next cycle
+    assert shard.scheduler.active_count() == 0
+    # Everyone sits at the 4-cycle hoard cap and offers all but one refill.
+    assert report.backlog == {}
+    assert report.unused == {
+        sub.name: GENERIC_REQUEST.scaled(4.0) - GENERIC_REQUEST
+        for sub in subscribers
+    }
 
 
 def test_cross_shard_grant_moves_balance_between_shards():
@@ -337,6 +356,8 @@ def test_cross_shard_grant_moves_balance_between_shards():
     after = busy_shard.accounting.account(on_one).balance
     assert after.cpu_s > before.cpu_s  # the grant landed
     assert idle_shard.accounting.account(on_zero).balance.cpu_s == pytest.approx(
-        idle_shard.ledger.cycle_credit(subscribers[0])[0].cpu_s
+        idle_shard.scheduler.ledger.cycle_credit(
+            idle_shard.queues.get(on_zero).sid, subscribers[0]
+        )[0].cpu_s
     )  # the hoard was reclaimed down to one cycle's refill
     assert set(answers) == {0, 1}

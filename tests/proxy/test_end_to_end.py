@@ -124,6 +124,55 @@ def test_proxy_feeds_usage_into_accounting():
     assert account.measured_usage_total.net_bytes == 5 * 2000
 
 
+def test_proxy_scheduler_walks_only_active_subscribers():
+    """50 idle subscribers settle out of the proxy's WRR walk; the one
+    with a standing backlog stays — the proxy is on the O(active) path."""
+
+    async def main():
+        backend = BackendServer({"busy.com": {"/index.html": 100}}, time_scale=0.0)
+        backend_port = await backend.start()
+        idle = [Subscriber("idle{}.com".format(i), 100) for i in range(50)]
+        # 1 GRPS and no spare: a burst of 5 requests stays queued for seconds.
+        proxy = GageProxy(
+            idle + [Subscriber("busy.com", 1)],
+            {"backend0": ("127.0.0.1", backend_port)},
+            config=GageConfig(spare_policy="none"),
+        )
+        port = await proxy.start()
+        clients = [asyncio.ensure_future(_get(port, "busy.com")) for _ in range(5)]
+        deadline = asyncio.get_event_loop().time() + 3.0
+        while (
+            proxy.scheduler.active_count() != 1
+            and asyncio.get_event_loop().time() < deadline
+        ):
+            await asyncio.sleep(0.02)
+        active = proxy.scheduler.active_count()
+        backlog = len(proxy.queues.get("busy.com"))
+        for client in clients:
+            client.cancel()
+        await asyncio.gather(*clients, return_exceptions=True)
+        await proxy.stop()
+        await backend.stop()
+        return proxy, active, backlog
+
+    proxy, active, backlog = asyncio.run(main())
+    assert backlog > 0
+    assert active == 1
+    assert proxy.queues.table is proxy.accounting.table
+
+
+def test_reading_balances_wakes_no_settled_subscriber():
+    subscribers = [Subscriber("s{}.com".format(i), 100) for i in range(10)]
+    proxy = GageProxy(subscribers, {"backend0": ("127.0.0.1", 1)})
+    for _ in range(10):  # all idle: everyone reaches the cap and settles
+        proxy.scheduler.run_cycle()
+    assert proxy.scheduler.active_count() == 0
+    balances = proxy.balances()
+    assert sorted(balances) == sorted(sub.name for sub in subscribers)
+    assert all(balance.cpu_s > 0 for balance in balances.values())
+    assert proxy.accounting.drain_dirty() == []  # nobody to re-visit next cycle
+
+
 def test_demo_isolation_under_overload():
     """The real-socket deployment preserves the QoS property: a site
     within its reservation is unaffected by an overloaded neighbour."""
