@@ -1,6 +1,6 @@
 """BENCH_subscriber_scale — the million-subscriber control plane.
 
-Two records:
+Three records:
 
 * ``cycle_cost_100k`` — per-cycle scheduling/accounting cost with 10⁵
   registered subscribers of which ~512 are active.  The lazy O(active)
@@ -8,6 +8,10 @@ Two records:
   the benchmark measures the same 512-active steady state over a 10⁵
   and a 4×10³ registration base and asserts the cost ratio stays near
   1× (an O(registered) walk would show ~25×).
+* ``cycle_cost_100k_unsettled`` — the same measurement over 0.1-GRPS
+  subscribers, whose balances need 1 500 idle cycles to reach the hoard
+  cap: they park after one cycle all the same, and each offer wakes one
+  through a replay of the refills it missed.
 * ``churn_admission_100k`` — replays a seeded join/leave stream of ~10⁵
   subscriber offers through the placement engine (utilization
   objective, k=1 backup), recording the acceptance ratio, the p95
@@ -56,7 +60,7 @@ PLACEMENT_NODES = 32
 PLACEMENT_NODE_CAPACITY = ResourceVector(37.5, 37.5, 7_500_000.0)
 
 
-def _build_plane(total):
+def _build_plane(total, reservation_grps=100.0):
     """A scheduler over ``total`` registered subscribers, shared table."""
     config = GageConfig(spare_policy="none", dispatch_window_s=3600.0)
     queues = SubscriberQueues()
@@ -67,7 +71,7 @@ def _build_plane(total):
     for index in range(total):
         sub = Subscriber(
             "sub{:06d}".format(index),
-            reservation_grps=100.0,
+            reservation_grps=reservation_grps,
             queue_capacity=8,
         )
         queues.register(sub)
@@ -86,14 +90,11 @@ def _build_plane(total):
     return scheduler, queues
 
 
-def _settle(scheduler):
-    """Run cycles until the idle population drops out of the walk."""
-    for _ in range(20):
-        scheduler.run_cycle()
-        if scheduler.active_count() == 0:
-            return
-    raise AssertionError(
-        "population never settled: {} still active".format(
+def _park(scheduler):
+    """One cycle parks the whole idle population out of the walk."""
+    scheduler.run_cycle()
+    assert scheduler.active_count() == 0, (
+        "{} idle subscribers still in the walk after one cycle".format(
             scheduler.active_count()
         )
     )
@@ -113,16 +114,25 @@ def _steady_state_cycle_s(scheduler, queues, names, rounds):
 
 def test_cycle_cost_100k(benchmark):
     """Steady-state cycle cost is O(active), not O(registered)."""
+    _record_cycle_cost(benchmark, reservation_grps=100.0)
+
+
+def test_cycle_cost_100k_unsettled(benchmark):
+    """... also when no idle balance is anywhere near its hoard cap."""
+    _record_cycle_cost(benchmark, reservation_grps=0.1)
+
+
+def _record_cycle_cost(benchmark, reservation_grps):
     active_names = ["sub{:06d}".format(i * (TOTAL // ACTIVE)) for i in range(ACTIVE)]
 
-    scheduler, queues = _build_plane(TOTAL)
-    _settle(scheduler)
+    scheduler, queues = _build_plane(TOTAL, reservation_grps)
+    _park(scheduler)
 
     control_names = [
         "sub{:06d}".format(i * (CONTROL // ACTIVE)) for i in range(ACTIVE)
     ]
-    control_sched, control_queues = _build_plane(CONTROL)
-    _settle(control_sched)
+    control_sched, control_queues = _build_plane(CONTROL, reservation_grps)
+    _park(control_sched)
     control_s = _steady_state_cycle_s(
         control_sched, control_queues, control_names, rounds=30
     )
@@ -142,7 +152,11 @@ def test_cycle_cost_100k(benchmark):
     ratio = scale_s / control_s if control_s > 0 else float("inf")
     active_after = scheduler.active_count()
 
-    print_banner("BENCH_subscriber_scale: cycle cost at 100k subscribers")
+    print_banner(
+        "BENCH_subscriber_scale: cycle cost at 100k subscribers of {} GRPS".format(
+            reservation_grps
+        )
+    )
     print(
         "  registered {}   active {}   cycle {:.0f} us "
         "(control@{}: {:.0f} us, ratio {:.2f}x, bound {:.1f}x)".format(

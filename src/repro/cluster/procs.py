@@ -75,11 +75,21 @@ class SimProcess:
         return (proc for proc in self.subtree(include_dead=False) if proc.alive)
 
     def subtree_usage(self) -> ResourceVector:
-        """Summed usage over the whole subtree — the accounting-cycle walk."""
-        total = ResourceVector.ZERO
-        for proc in self.subtree():
-            total = total + proc.usage
-        return total
+        """Summed usage over the whole subtree — the accounting-cycle walk.
+
+        Depth-first in :meth:`subtree` order, dead descendants included,
+        so the float additions happen in the order they always did.
+        """
+        cpu_s = disk_s = net_bytes = 0.0
+        stack = [self]
+        while stack:
+            proc = stack.pop()
+            cpu_s += proc.cpu_s
+            disk_s += proc.disk_s
+            net_bytes += proc.net_bytes
+            if proc.children:
+                stack.extend(reversed(proc.children))
+        return ResourceVector(cpu_s, disk_s, net_bytes)
 
 
 class ProcessTable:

@@ -5,6 +5,11 @@ processes — Gage's charging-entity model (§3.5): every slice of CPU, every
 disk I/O, and every transmitted byte lands on a process in the site's
 subtree, so the periodic accounting walk attributes usage precisely.
 
+The server keeps the set of sites *touched* since the last walk — those a
+request entered :meth:`WebServer.service_request` for, or that still
+have one in service — because only their subtrees can have been charged;
+:meth:`WebServer.take_touched` hands the walk exactly those.
+
 The same servicing path runs under both transports: in packet mode
 requests arrive over spliced TCP connections; in flow mode
 :meth:`WebServer.service_request` is invoked directly with the request
@@ -41,7 +46,10 @@ class Site:
     worker_procs: List[SimProcess]
     completed: int = 0
     errors: int = 0
+    #: Requests in service; while > 0 the site stays in the touched set.
     busy: int = 0
+    #: Registration ordinal on this server: the accounting walk's order.
+    index: int = 0
     _rr: int = field(default=0, repr=False)
 
     def next_worker(self) -> SimProcess:
@@ -76,6 +84,9 @@ class WebServer:
         #: plus address/sequence remapping).  Zero for baselines.
         self.overhead_cpu_s = overhead_cpu_s
         self.sites: Dict[str, Site] = {}
+        #: host → site for every site a request entered since the last
+        #: accounting walk, or that still has one in service.
+        self._touched: Dict[str, Site] = {}
         self.on_complete: List[CompletionHook] = []
 
     def __repr__(self) -> str:
@@ -107,9 +118,25 @@ class WebServer:
             master=master,
             workers=Resource(self.env, capacity=worker_count),
             worker_procs=worker_procs,
+            index=len(self.sites),
         )
         self.sites[host] = site
         return site
+
+    def take_touched(self) -> List[Site]:
+        """Sites charged since the last call, in registration order.
+
+        Every charge to a site's subtree (worker CPU and disk, CGI
+        children, bytes sent, the partial work of a cancelled hedge
+        clone) and every completion happens between a request's entry
+        to and exit from :meth:`service_request`, so a site no request
+        entered has a usage and completion delta of exactly zero.  A
+        site with a request still in service stays in the set for the
+        next call.
+        """
+        touched = sorted(self._touched.values(), key=lambda site: site.index)
+        self._touched = {site.host: site for site in touched if site.busy > 0}
+        return touched
 
     # -- packet-mode entry point --------------------------------------------
 
@@ -160,6 +187,7 @@ class WebServer:
         site = self.sites.get(request.host)
         if site is None:
             return (yield from self._respond_error(request, conn, status=404))
+        self._touched[site.host] = site
         dynamic = request.path.startswith(self.CGI_PREFIX)
         if dynamic:
             # Generated content: the response size comes from the request
@@ -170,7 +198,9 @@ class WebServer:
             size = self.machine.fs.size_of(path)
             if size is None:
                 site.errors += 1
+                site.busy += 1  # in service while the error page is sent
                 response = yield from self._respond_error(request, conn, status=404)
+                site.busy -= 1
                 # The error page is still an *answered* request: it must
                 # count as completed so the accounting cycle backs out the
                 # RDN's dispatch-time prediction — otherwise every 404

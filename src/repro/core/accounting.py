@@ -10,25 +10,52 @@ For each subscriber the RDN maintains:
   usage of requests dispatched there and not yet reported complete.
 
 Scale notes: accounts live in a flat list indexed by the interned
-subscriber id (shared :class:`~repro.core.subscriber.SubscriberTable`),
-and the collection keeps a **dirty id set** — every balance mutation
-that is *not* the scheduler's own refill (credit, dispatch, cancel,
-feedback, node death, or any by-name account lookup that might mutate)
-marks the subscriber dirty, which is the signal the scheduler uses
-to wake a settled subscriber.  The refill itself must not mark, or no
-subscriber would ever settle.
+subscriber id (shared :class:`~repro.core.subscriber.SubscriberTable`).
+An account whose queue is idle is **parked**: the scheduler stops
+refilling it every cycle and the account remembers ``(cycle of last
+refill, credit, cap)`` instead.  Every balance mutation that is *not*
+the scheduler's own refill (credit, dispatch, cancel, feedback, node
+death, or any by-name account lookup that might mutate) first *replays*
+the refills the account missed — the same float operations in the same
+order, so the balance is bit-for-bit what refilling it every cycle
+would have left — and then marks the subscriber in the **dirty id
+set**, which puts it back in the scheduler's walk.  The refill itself
+never marks, or no subscriber could park.  :meth:`RDNAccounting.sync`
+brings every parked account up to date without unparking it, for
+readers that only look.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.feedback import AccountingMessage
 from repro.core.grps import ResourceVector
 from repro.core.subscriber import Subscriber, SubscriberTable
 from repro.telemetry.registry import get_registry
+
+
+def _refill(balance: float, add: float, limit: float, cycles: int = 1) -> float:
+    """One resource component after ``cycles`` consecutive refills.
+
+    Each refill adds ``add`` and accrual stops at ``limit``; a balance
+    already at or above the limit is kept as it is.  The loop ends as
+    soon as a refill leaves the balance unchanged (at the limit, or a
+    zero ``add``), because every later one would too — so it runs at
+    most ``min(cycles, ceil((limit - balance) / add) + 1)`` times.
+    """
+    for _ in range(cycles):
+        if balance >= limit:
+            break  # above cap: keep, but accrue no further
+        refilled = balance + add
+        if refilled > limit:
+            refilled = limit
+        if refilled == balance:
+            break
+        balance = refilled
+    return balance
 
 
 @dataclass
@@ -49,6 +76,9 @@ class SubscriberAccount:
     measured_usage_total: ResourceVector = field(
         default_factory=lambda: ResourceVector.ZERO
     )
+    #: ``(cycle of last refill, credit, cap)`` while the scheduler is not
+    #: visiting this account every cycle; None while it is.
+    parked: Optional[Tuple[int, ResourceVector, ResourceVector]] = None
 
     def estimated_total(self) -> ResourceVector:
         """In-flight predicted usage across all RPNs."""
@@ -74,6 +104,14 @@ class RDNAccounting:
         #: Ids whose balance may have changed outside the refill path
         #: since the scheduler last drained the set.
         self._dirty: Set[int] = set()
+        #: The last scheduling cycle whose reserved walk has begun; a
+        #: parked account is owed every refill up to and including it.
+        self.cycle = 0
+        #: True while that walk is visiting subscribers.
+        self.in_walk = False
+        #: Called with an account whose missed refills were just
+        #: replayed; the scheduler exports the balance gauge from here.
+        self.on_replay: Callable[[SubscriberAccount], None] = lambda account: None
         #: (time, subscriber, usage) samples, for deviation analysis.
         self.usage_log: List[Tuple[float, str, ResourceVector]] = []
         self.keep_usage_log = True
@@ -118,6 +156,8 @@ class RDNAccounting:
         account = self._accounts.pop(name, None)
         if account is None:
             return None
+        if account.parked is not None:
+            self._replay(account)  # its gauge's last word is exact too
         for queue in account.pending.values():
             for predicted in queue:
                 self.total_forgotten = self.total_forgotten + predicted
@@ -132,11 +172,11 @@ class RDNAccounting:
     def account(self, name: str) -> SubscriberAccount:
         """Look up an account (KeyError if unknown).
 
-        The caller may mutate the returned account, so its subscriber is
-        conservatively marked dirty (woken for the next cycle).
+        The caller may mutate the returned account, so it is brought up
+        to date and its subscriber conservatively woken.
         """
         account = self._accounts[name]
-        self._dirty.add(account.sid)
+        self._wake(account)
         return account
 
     def account_by_id(self, sid: int) -> Optional[SubscriberAccount]:
@@ -149,7 +189,7 @@ class RDNAccounting:
         """Look up an account, or None."""
         account = self._accounts.get(name)
         if account is not None:
-            self._dirty.add(account.sid)
+            self._wake(account)
         return account
 
     def accounts(self) -> List[SubscriberAccount]:
@@ -157,7 +197,7 @@ class RDNAccounting:
         out: List[SubscriberAccount] = []
         for account in self._by_id:
             if account is not None:
-                self._dirty.add(account.sid)
+                self._wake(account)
                 out.append(account)
         return out
 
@@ -168,6 +208,66 @@ class RDNAccounting:
         out = list(self._dirty)
         self._dirty.clear()
         return out
+
+    # -- parking ------------------------------------------------------------
+
+    def wake(self, sid: int) -> None:
+        """Bring the account with id ``sid`` up to date and mark it dirty."""
+        by_id = self._by_id
+        if 0 <= sid < len(by_id) and by_id[sid] is not None:
+            self._wake(by_id[sid])
+
+    def _wake(self, account: SubscriberAccount) -> None:
+        """Run before every non-refill mutation of ``account``.
+
+        The order is the point: the missed refills land first, then the
+        caller's mutation, exactly as if the account had been visited
+        every cycle in between.
+        """
+        if account.parked is not None:
+            self._replay(account)
+            account.parked = None
+        self._dirty.add(account.sid)
+
+    def sync(self) -> None:
+        """Bring every parked account up to date; unparks nobody."""
+        for account in self._by_id:
+            if account is not None and account.parked is not None:
+                self._replay(account)
+
+    def _replay(self, account: SubscriberAccount) -> None:
+        """Apply the refills a parked account missed, through ``self.cycle``.
+
+        A mutation between cycles ``c`` and ``c+1`` — or in cycle ``c``'s
+        spare pass — finds ``self.cycle == c``; a wake handled at the top
+        of cycle ``c`` still finds ``c-1``, because that cycle's own
+        refill follows in the walk.  Inside the walk only the visited
+        account, or one parked earlier in this same walk, may be touched:
+        any other would have been refilled before or after the touch
+        depending on its place in the visit order, and the walk no
+        longer visits it.
+
+        Costs, per component, at most the cycles missed and at most the
+        cycles the balance needs to reach its cap (see :func:`_refill`).
+        """
+        last, credit, cap = account.parked
+        missed = self.cycle - last
+        if missed <= 0:
+            return
+        if self.in_walk:
+            raise RuntimeError(
+                "parked account {!r} touched inside the reserved walk".format(
+                    account.subscriber.name
+                )
+            )
+        balance = account.balance
+        account.balance = ResourceVector(
+            _refill(balance[0], credit[0], cap[0], missed),
+            _refill(balance[1], credit[1], cap[1], missed),
+            _refill(balance[2], credit[2], cap[2], missed),
+        )
+        account.parked = (self.cycle, credit, cap)
+        self.on_replay(account)
 
     # -- scheduler-side operations ----------------------------------------
 
@@ -188,31 +288,26 @@ class RDNAccounting:
           underdeliver against the reservation on noisy workloads.
 
         Deliberately does **not** mark the subscriber dirty: the refill
-        is the scheduler's own act, and a subscriber whose refill is a
-        fixed point (at cap, or zero reservation) must be allowed to
-        settle out of the per-cycle walk.
+        is the scheduler's own act, and an idle subscriber must be able
+        to park out of the per-cycle walk.
         """
-        def refill_component(balance: float, add: float, limit: float) -> float:
-            if balance >= limit:
-                return balance  # above cap: keep, but accrue no further
-            return min(balance + add, limit)
-
         balance = account.balance
         account.balance = ResourceVector(
-            refill_component(balance.cpu_s, credit.cpu_s, cap.cpu_s),
-            refill_component(balance.disk_s, credit.disk_s, cap.disk_s),
-            refill_component(balance.net_bytes, credit.net_bytes, cap.net_bytes),
+            _refill(balance[0], credit[0], cap[0]),
+            _refill(balance[1], credit[1], cap[1]),
+            _refill(balance[2], credit[2], cap[2]),
         )
 
     def credit(self, name: str, amount: ResourceVector) -> None:
         """Add uncapped credit (used to fund spare-pass dispatches)."""
         account = self._accounts[name]
+        self._wake(account)
         account.balance = account.balance + amount
-        self._dirty.add(account.sid)
 
     def on_dispatch(self, name: str, rpn_id: str, predicted: ResourceVector) -> None:
         """Charge a dispatch: balance down, estimated array up."""
         account = self._accounts[name]
+        self._wake(account)
         account.balance = account.balance - predicted
         account.estimated[rpn_id] = (
             account.estimated.get(rpn_id, ResourceVector.ZERO) + predicted
@@ -220,7 +315,6 @@ class RDNAccounting:
         account.pending.setdefault(rpn_id, deque()).append(predicted)
         account.dispatched += 1
         self.total_charged = self.total_charged + predicted
-        self._dirty.add(account.sid)
 
     def on_cancel(self, name: str, rpn_id: str, predicted: ResourceVector) -> bool:
         """Refund the prediction of a cancelled (hedge-loser) dispatch.
@@ -252,11 +346,11 @@ class RDNAccounting:
             index = len(queue) - 1
         removed = queue[index]
         del queue[index]
+        self._wake(account)
         account.balance = account.balance + removed
         element = account.estimated.get(rpn_id, ResourceVector.ZERO)
         account.estimated[rpn_id] = (element - removed).clamped_min(0.0)
         self.total_refunded = self.total_refunded + removed
-        self._dirty.add(account.sid)
         return True
 
     # -- feedback-side operations -------------------------------------------
@@ -277,6 +371,7 @@ class RDNAccounting:
             account = self._accounts.get(name)
             if account is None:
                 continue
+            self._wake(account)
             removed = self._pop_predictions(account, message.rpn_id, report.completed)
             # Replace prediction with measurement: the net balance effect
             # of each completed request becomes exactly its measured usage.
@@ -288,7 +383,6 @@ class RDNAccounting:
             account.measured_usage_total = account.measured_usage_total + report.usage
             self.total_backed_out = self.total_backed_out + removed
             backed_out[name] = removed
-            self._dirty.add(account.sid)
             if self.keep_usage_log:
                 self.usage_log.append((message.cycle_end_s, name, report.usage))
         return backed_out
@@ -313,9 +407,9 @@ class RDNAccounting:
             total = ResourceVector.ZERO
             for predicted in queue:
                 total = total + predicted
+            self._wake(account)
             account.balance = account.balance + total
             self.total_forgotten = self.total_forgotten + total
-            self._dirty.add(account.sid)
             restored[account.subscriber.name] = total
         return restored
 

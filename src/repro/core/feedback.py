@@ -1,8 +1,10 @@
 """Accounting messages: RPN → RDN resource-usage feedback (§3.5).
 
 "Each accounting message from RPN includes the total and per-subscriber
-resource usage on that RPN in the previous accounting cycle."  This
-reproduction additionally carries per-subscriber completion counts, which
+resource usage on that RPN in the previous accounting cycle."  The
+total is the sum of the per-subscriber usages the message reports (every
+charge on a node lands in some site's subtree).  This reproduction
+additionally carries per-subscriber completion counts, which
 lets the RDN replace exactly the right dispatch-time predictions with
 measured usage.
 """

@@ -13,8 +13,9 @@ collection tracks two id sets the scheduler needs to stay O(active):
   maintained on empty↔non-empty transitions so the spare pass never
   scans idle queues;
 - the **activity set** — ids touched by an ``offer``/``requeue`` since
-  the scheduler last drained it, so a settled (idle, fully-refilled)
-  subscriber re-enters the scheduling walk the cycle it gets traffic.
+  the scheduler last drained it, so a parked (idle) subscriber has its
+  missed refills replayed and re-enters the scheduling walk the cycle
+  it gets traffic.
 """
 
 from __future__ import annotations

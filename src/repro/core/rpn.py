@@ -14,6 +14,11 @@ below the IP layer" of each back-end node.  It performs, per Figure 2:
 The accounting agent implements §3.5: every accounting cycle it walks the
 process tree, sums each charging entity's usage since the last walk, and
 sends the per-subscriber report (plus completion counts) to the RDN.
+The walk covers the subtrees of the sites the web server saw a request
+for since the last walk (:meth:`~repro.cluster.webserver.WebServer.take_touched`):
+no other subtree was charged, so its delta is exactly zero and a zero
+delta was never reported.  The message's machine total is the sum of
+the deltas it reports.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from repro.cluster.webserver import WebServer
 from repro.core.control import DispatchOrder
 from repro.core.feedback import AccountingMessage, RPNUsageReport
 from repro.core.grps import ResourceVector
+from repro.core.topology import grps_capacity
 from repro.net.addresses import IPAddress, MACAddress
 from repro.net.conn import Quadruple
 from repro.net.nic import FrameFilter
@@ -38,6 +44,7 @@ _ACK_PSH = TCPFlags.ACK | TCPFlags.PSH
 from repro.net.splicing import SpliceRule
 from repro.net.tcp import HostStack
 from repro.sim.engine import Environment
+from repro.telemetry.registry import get_registry
 
 
 @dataclass
@@ -219,9 +226,6 @@ class RPNAccountingAgent:
             # Publish the node's declared capacity so heterogeneous
             # clusters are legible in telemetry snapshots.  Recording
             # only: no events, no RNG — digest-safe.
-            from repro.core.topology import grps_capacity
-            from repro.telemetry.registry import get_registry
-
             get_registry().gauge(
                 "repro.cluster.node.capacity", node=rpn_id
             ).set(grps_capacity(capacity_per_s))
@@ -239,7 +243,6 @@ class RPNAccountingAgent:
         self.messages_sent = 0
         self._last_usage: Dict[str, ResourceVector] = {}
         self._last_completed: Dict[str, int] = {}
-        self._last_total = ResourceVector.ZERO
         self._proc = env.process(self._loop())
 
     def _loop(self):
@@ -260,13 +263,13 @@ class RPNAccountingAgent:
         completions accumulated before/during the outage must never be
         reported — the RDN already backed those requests out and
         re-dispatched them elsewhere, so reporting them again would
-        double-charge the subscribers.
+        double-charge the subscribers.  Sites untouched since the last
+        walk are at their baseline already.
         """
         self.webserver.machine.settle_accounting()
-        for host, site in self.webserver.sites.items():
-            self._last_usage[host] = site.master.subtree_usage()
-            self._last_completed[host] = site.completed
-        self._last_total = self.webserver.machine.procs.total_usage()
+        for site in self.webserver.take_touched():
+            self._last_usage[site.host] = site.master.subtree_usage()
+            self._last_completed[site.host] = site.completed
 
     def collect(self) -> AccountingMessage:
         """Walk the process tree and build this cycle's report."""
@@ -274,7 +277,9 @@ class RPNAccountingAgent:
         self.webserver.machine.settle_accounting()
         self.webserver.machine.telemetry_sample()
         per_subscriber: Dict[str, RPNUsageReport] = {}
-        for host, site in self.webserver.sites.items():
+        total = ResourceVector.ZERO
+        for site in self.webserver.take_touched():
+            host = site.host
             usage = site.master.subtree_usage()
             delta = usage - self._last_usage.get(host, ResourceVector.ZERO)
             self._last_usage[host] = usage
@@ -282,13 +287,11 @@ class RPNAccountingAgent:
             self._last_completed[host] = site.completed
             if completed_delta > 0 or delta != ResourceVector.ZERO:
                 per_subscriber[host] = RPNUsageReport(delta, completed_delta)
-        total = self.webserver.machine.procs.total_usage()
-        total_delta = total - self._last_total
-        self._last_total = total
+                total = total + delta
         return AccountingMessage(
             rpn_id=self.rpn_id,
             cycle_start_s=now - self.cycle_s,
             cycle_end_s=now,
-            total_usage=total_delta,
+            total_usage=total,
             per_subscriber=per_subscriber,
         )

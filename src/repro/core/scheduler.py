@@ -14,22 +14,28 @@ in a cyclic fashion:
    reservations" — the policy Table 2 demonstrates ("higher reservation
    gets larger share of spare resource").
 
-Scale notes (the million-subscriber refactor): the per-cycle walk is
-**O(active)**, not O(registered).  A subscriber *settles* out of the
-walk once it is idle and its refill is an exact fixed point — queue
-empty, and per resource component either the balance already sits at
-the hoard cap or the refill component is zero.  Skipping such a
-subscriber is provably a no-op: the refill would not change the balance,
-the drain would not dispatch, and the balance gauge would re-export the
-same value.  It re-enters the walk ("wakes") when its queue sees an
-``offer``/``requeue`` (the queues' activity set) or any non-refill
-balance mutation lands (the accounting's dirty set) — feedback,
-spare credit, cancellation refunds, node death, or an external by-name
-account access.  Because settling requires the *exact* fixed point, the
-fixed-seed dispatch/accounting stream is byte-identical to visiting
-every subscriber every cycle (the golden digest pins this).
+Scale notes: the per-cycle walk is **O(active)**, not O(registered).
+A subscriber whose queue is empty at the end of its visit *parks*: it
+leaves the walk at once and its account remembers ``(cycle of last
+refill, credit, cap)``.  Whatever touches it next — an
+``offer``/``requeue`` (the queues' activity set), or any non-refill
+balance or estimator mutation: feedback, spare credit, cancellation
+refunds, node death, an external by-name account or estimator access —
+first replays the refills it missed, with the float operations a visit
+would have performed and in the same order
+(:meth:`~repro.core.accounting.RDNAccounting._replay`), and puts it back
+in the walk.  Refill-only cycles do nothing else to an idle subscriber
+(no dispatch; a balance gauge that only rises, so its last value and
+extremes are those of the replayed run), hence every balance, dispatch
+and gauge reading is bit-for-bit what visiting every subscriber every
+cycle produces (the golden digest and ``tests/core/test_scheduler_lazy``
+pin this).  The hoard cap depends on the estimator, so every estimator
+write is a wake: the missed refills are replayed against the cap
+recorded at parking, and the cycles after the write are walked again
+under the new one.  :meth:`RequestScheduler.sync` brings parked accounts
+and their gauges up to date for readers, waking nobody.
 
-Settling needs queue ids and account ids to agree, so the queues and
+Parking needs queue ids and account ids to agree, so the queues and
 the accounting must share one
 :class:`~repro.core.subscriber.SubscriberTable`; the constructor refuses
 anything else.
@@ -99,8 +105,9 @@ class RequestScheduler:
         #: only be dispatched to the RPNs its embedding allows.
         self.placement = placement
         self._estimators: Dict[str, UsageEstimator] = {}
-        #: Ids the next cycle walks; settled subscribers are absent.
+        #: Ids the next cycle walks; parked subscribers are absent.
         self._active: Set[int] = set(queues.sorted_ids())
+        accounting.on_replay = self._note_balance
         for queue in queues:
             self.ledger.add_reservation(queue.subscriber)
         queues.on_register.append(self._on_queue_registered)
@@ -142,13 +149,18 @@ class RequestScheduler:
         """The usage estimator for one subscriber's queue.
 
         External access wakes the subscriber: the caller may mutate the
-        estimator, which changes the refill cap a settled subscriber was
-        judged against.
+        estimator, which changes the refill cap a parked subscriber's
+        missed refills are replayed against.
         """
         queue = self.queues.get(name)
         if queue is not None:
-            self._active.add(queue.sid)
+            self._wake(queue.sid)
         return self._estimator(name)
+
+    def _wake(self, sid: int) -> None:
+        """Replay a parked subscriber's missed refills; walk it next cycle."""
+        self.accounting.wake(sid)
+        self._active.add(sid)
 
     def _estimator(self, name: str) -> UsageEstimator:
         estimator = self._estimators.get(name)
@@ -175,9 +187,16 @@ class RequestScheduler:
         queues = self.queues
         active = self._active
 
-        # Wake subscribers with activity since the last cycle.
-        active.update(queues.drain_activity())
-        active.update(self.accounting.drain_dirty())
+        # Wake subscribers with activity since the last cycle.  Their
+        # missed refills run through the previous cycle; this cycle's
+        # own follows in the walk.
+        accounting = self.accounting
+        activity = queues.drain_activity()
+        for sid in activity:
+            accounting.wake(sid)
+        active.update(activity)
+        active.update(accounting.drain_dirty())
+        accounting.cycle = self.cycles
 
         # Pass 1: reserved credit, weighted round-robin over the active
         # queues.  The visit order rotates each cycle over the *full*
@@ -190,42 +209,47 @@ class RequestScheduler:
             pivot = order[self.cycles % len(order)]
             ready = sorted(active)
             split = bisect.bisect_left(ready, pivot)
-            for sid in ready[split:] + ready[:split]:
-                queue = queues.get_by_id(sid)
-                if queue is None:
-                    active.discard(sid)
-                    continue
-                subscriber = queue.subscriber
-                name = subscriber.name
-                credit, capped = self.ledger.cycle_credit(sid, subscriber)
-                # The cap bounds idle-time credit hoarding, but must always
-                # admit at least one predicted request or a subscriber whose
-                # requests are larger than credit_cap_cycles' worth of credit
-                # (heavy-tailed workloads) could never dispatch again.
-                estimator = self._estimator(name)
-                predicted = estimator.predict()
-                cap = self.ledger.refill_cap(capped, predicted)
-                account = self.accounting.account_by_id(sid)
-                if account is None:
-                    raise KeyError(name)
-                self.accounting.refill_account(account, credit, cap)
-                decisions.extend(self._drain_reserved(queue, account, estimator))
-                self._note_balance(name, account)
-                if not queue.backlogged:
-                    # Settle once the refill is an exact fixed point:
-                    # skipping this subscriber next cycle is a no-op.
-                    balance = account.balance
-                    if (
-                        (balance[0] >= cap[0] or credit[0] == 0.0)
-                        and (balance[1] >= cap[1] or credit[1] == 0.0)
-                        and (balance[2] >= cap[2] or credit[2] == 0.0)
-                    ):
+            accounting.in_walk = True
+            try:
+                for sid in ready[split:] + ready[:split]:
+                    queue = queues.get_by_id(sid)
+                    if queue is None:
                         active.discard(sid)
+                        continue
+                    decisions.extend(self._visit(queue))
+            finally:
+                accounting.in_walk = False
 
         # Pass 2: spare resource for still-backlogged queues.
         if self.config.spare_policy != SPARE_NONE:
             decisions.extend(self._spare_pass())
 
+        return decisions
+
+    def _visit(self, queue: RequestQueue) -> List[ScheduleDecision]:
+        """Refill one subscriber, drain what its balance covers, park if idle."""
+        sid = queue.sid
+        subscriber = queue.subscriber
+        name = subscriber.name
+        credit, capped = self.ledger.cycle_credit(sid, subscriber)
+        # The cap bounds idle-time credit hoarding, but must always
+        # admit at least one predicted request or a subscriber whose
+        # requests are larger than credit_cap_cycles' worth of credit
+        # (heavy-tailed workloads) could never dispatch again.
+        estimator = self._estimator(name)
+        predicted = estimator.predict()
+        cap = self.ledger.refill_cap(capped, predicted)
+        account = self.accounting.account_by_id(sid)
+        if account is None:
+            raise KeyError(name)
+        self.accounting.refill_account(account, credit, cap)
+        decisions = self._drain_reserved(queue, account, estimator)
+        self._note_balance(account)
+        if not queue.backlogged:
+            # Nothing but refills can happen to it until something
+            # touches it, and whatever does replays them first.
+            self._active.discard(sid)
+            account.parked = (self.cycles, credit, cap)
         return decisions
 
     def _drain_reserved(
@@ -265,8 +289,9 @@ class RequestScheduler:
             decisions.append(ScheduleDecision(name, rpn_id, predicted, spare=False))
         return decisions
 
-    def _note_balance(self, name: str, account: SubscriberAccount) -> None:
+    def _note_balance(self, account: SubscriberAccount) -> None:
         """Export one subscriber's post-cycle credit balance, in GRPS."""
+        name = account.subscriber.name
         gauge = self._balance_gauges.get(name)
         if gauge is None:
             gauge = get_registry().gauge(
@@ -398,7 +423,7 @@ class RequestScheduler:
             if queue is not None:
                 # Feedback mutates the estimator (refill cap) and the
                 # balance: wake the subscriber for the next cycle.
-                self._active.add(queue.sid)
+                self._wake(queue.sid)
                 estimator = self._estimator(name)
                 if report.completed > 0:
                     # Prediction error: how far the dispatch-time estimate
@@ -416,6 +441,17 @@ class RequestScheduler:
             total = total + vec
         self.node_scheduler.on_feedback(message.rpn_id, total)
 
+    # -- readers ------------------------------------------------------------------
+
+    def sync(self) -> None:
+        """Bring every parked balance and its gauge to the current cycle.
+
+        One scan of the accounts, replay work only for the parked ones;
+        wakes nobody.  The ``credit_balance_grps`` gauge of a parked
+        subscriber is otherwise as of its last touch.
+        """
+        self.accounting.sync()
+
     # -- hierarchical-credit hooks ------------------------------------------------
 
     def credit_report(self) -> Tuple[Dict[str, ResourceVector], Dict[str, int]]:
@@ -425,8 +461,9 @@ class RequestScheduler:
         hoards beyond one cycle's refill — the next refill keeps it
         serving an arriving burst until the following grant round; a
         backlogged one offers nothing and reports its queue depth.
-        Read-only: taking a report wakes no settled subscriber.
+        Read-only: parked subscribers are brought up to date, none woken.
         """
+        self.sync()
         unused: Dict[str, ResourceVector] = {}
         backlog: Dict[str, int] = {}
         for queue in self.queues:

@@ -711,6 +711,9 @@ class GageCluster:
     def run(self, duration_s: float) -> None:
         """Advance the simulation to ``duration_s``."""
         self.env.run(until=duration_s)
+        # Parked subscribers' balances and gauges are as of their last
+        # touch; make them exact before anyone reads the finished run.
+        self.rdn.scheduler.sync()
         registry = get_registry()
         registry.tick()
         if registry.sinks:

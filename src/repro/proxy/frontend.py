@@ -297,8 +297,10 @@ class GageProxy(ClientSessionMixin):
     def balances(self) -> Dict[str, ResourceVector]:
         """Current per-subscriber credit balances (for restart reclaim).
 
-        Read by dense id, so taking them wakes no settled subscriber.
+        Read by dense id after a :meth:`RequestScheduler.sync`, so parked
+        subscribers are up to date and none is woken.
         """
+        self.scheduler.sync()
         out: Dict[str, ResourceVector] = {}
         for queue in self.queues:
             account = self.accounting.account_by_id(queue.sid)
