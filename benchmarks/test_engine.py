@@ -1,10 +1,11 @@
 """BENCH_engine — microbenchmarks of the refactored hot paths.
 
 Unlike the table/figure suites, this one has no paper row to reproduce:
-it pins the three per-event costs the hot-path rearchitecture targets —
-raw event dispatch, per-packet forwarding, and one credit-scheduler
-cycle — so a future change that regresses the engine shows up directly
-rather than smeared across a 40-second figure run.
+it pins the per-event costs the hot-path rearchitecture targets — raw
+event dispatch, one frame across two links and a switch, per-packet
+forwarding, and one credit-scheduler cycle — so a future change that
+regresses the engine shows up directly rather than smeared across a
+40-second figure run.
 
 The suite document depends on the build: a pure-Python run writes
 ``BENCH_engine.json``, a run with the mypyc extensions active writes
@@ -20,7 +21,7 @@ from repro.core.node_scheduler import NodeScheduler
 from repro.core.queues import SubscriberQueues
 from repro.core.scheduler import RequestScheduler
 from repro.core.subscriber import Subscriber
-from repro.net import IPAddress, TCPFlags
+from repro.net import NIC, IPAddress, Switch, TCPFlags
 from repro.net.conn import Quadruple
 from repro.sim import Environment
 
@@ -29,6 +30,10 @@ from .test_table3_overhead import client_packet, small_cluster
 #: Events per dispatch-loop benchmark round; large enough that the
 #: per-round Environment setup is noise.
 DISPATCH_CHAIN = 10_000
+
+#: Frames per link-hop benchmark round; inside the default transmit queue
+#: so none is refused.
+HOP_FRAMES = 500
 
 #: Which suite document this module writes (see module docstring).
 BENCHSTORE_SUITE = "engine_compiled" if _compiled.is_active() else "engine"
@@ -61,6 +66,35 @@ def test_event_dispatch(benchmark):
         return remaining[0]
 
     assert benchmark(drain_chain) == 0
+    _stamp(benchmark)
+
+
+def test_link_hop(benchmark):
+    """Host -> switch -> host: two link hops and one forwarding decision
+    per frame (the round time is for ``HOP_FRAMES`` frames)."""
+    env = Environment()
+    switch = Switch(env, ports=4)
+    frame = client_packet(4500, flags=TCPFlags.ACK)
+    sender = NIC(env, frame.src_mac, name="sender")
+    receiver = NIC(env, frame.dst_mac, name="receiver")
+    switch.attach(sender.iface)
+    switch.attach(receiver.iface)
+    received = []
+    receiver.receive_handler = received.append
+    # Teach the switch both addresses so every timed frame is forwarded.
+    receiver.transmit(frame.copy(src_mac=receiver.mac, dst_mac=sender.mac))
+    env.run()
+
+    def burst():
+        del received[:]
+        for _ in range(HOP_FRAMES):
+            sender.transmit(frame)
+        env.run()
+        return len(received)
+
+    assert benchmark(burst) == HOP_FRAMES
+    assert switch.flooded == 1
+    benchmark.extra_info["frames"] = HOP_FRAMES
     _stamp(benchmark)
 
 

@@ -13,7 +13,10 @@ with ``pstats`` or ``snakeviz``.
 
 Scenarios mirror the benchmark suites: ``fig3-synthetic`` and
 ``fig3-specweb`` are the Figure 3 deviation runs, ``golden`` is the
-committed golden-digest configuration, ``engine`` is a pure
+committed golden-digest configuration, ``packet-splice`` is the
+packet-fidelity golden configuration run for longer (three RPNs, one
+subscriber flooding past its queue) — the one scenario that enters
+``repro.net`` — ``engine`` is a pure
 event-loop stress (no cluster) isolating the simulator core, and
 ``proxy`` drives a closed-loop keep-alive workload through the real
 localhost deployment (the data-plane hot path), and ``proxy-sharded``
@@ -59,6 +62,22 @@ def scenario_golden():
     from repro.harness import golden_fig3_digest
 
     golden_fig3_digest()
+
+
+def scenario_packet_splice():
+    from repro.harness import golden_packet_cluster
+
+    cluster = golden_packet_cluster(duration_s=10.0)
+    stats = cluster.fleet.stats
+    print(
+        "packet-splice scenario: {} completed, {} refused, {} engine events, "
+        "{} frames switched".format(
+            stats.completed,
+            stats.failed,
+            cluster.env.events_dispatched,
+            sum(switch.forwarded + switch.flooded for switch in cluster.switches),
+        )
+    )
 
 
 def scenario_engine():
@@ -165,6 +184,7 @@ SCENARIOS = {
     "fig3-synthetic": scenario_fig3_synthetic,
     "fig3-specweb": scenario_fig3_specweb,
     "golden": scenario_golden,
+    "packet-splice": scenario_packet_splice,
     "engine": scenario_engine,
     "proxy": scenario_proxy,
     "proxy-sharded": scenario_proxy_sharded,

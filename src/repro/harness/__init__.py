@@ -12,6 +12,7 @@ from repro.harness.golden import (
     accounting_lines,
     golden_fig3_cluster,
     golden_fig3_digest,
+    golden_packet_cluster,
 )
 from repro.harness.experiment import (
     DeviationCurve,
@@ -60,6 +61,7 @@ __all__ = [
     "format_table",
     "golden_fig3_cluster",
     "golden_fig3_digest",
+    "golden_packet_cluster",
     "line_chart",
     "run_deviation_experiment",
     "run_isolation",

@@ -65,6 +65,44 @@ def golden_fig3_cluster(duration_s: float = 3.0, seed: int = 7) -> GageCluster:
     return cluster
 
 
+def golden_packet_cluster(duration_s: float = 3.0, seed: int = 7) -> GageCluster:
+    """Run the canonical small packet-fidelity scenario and return the cluster.
+
+    Three RPNs under the default :class:`GageConfig`, two subscribers
+    inside their reservation and one flooding at three times its own past
+    an 8-deep queue, so every frame of the §3.2 splice (handshake
+    emulation, dispatch order, remap, teardown), the refuse path and the
+    RPN→RDN accounting frames cross simulated links.  The fig-3 scenario
+    builds no :class:`~repro.net.link.Interface` at all; this is the run
+    that notices a packet-path ulp or a reordered same-instant tie.
+    """
+    env = Environment()
+    reservations = {"gold": 120.0, "silver": 120.0, "flood": 40.0}
+    workload = SyntheticWorkload(
+        rates={"gold": 40.0, "silver": 40.0, "flood": 120.0},
+        duration_s=duration_s,
+        file_bytes=2000,
+        files_per_site=16,
+        arrival="poisson",
+        seed=seed,
+    )
+    subscribers = [
+        Subscriber(name, grps, queue_capacity=8 if name == "flood" else 64)
+        for name, grps in reservations.items()
+    ]
+    cluster = GageCluster(
+        env,
+        subscribers,
+        {name: workload.site_files(name) for name in reservations},
+        num_rpns=3,
+        config=GageConfig(),
+        fidelity="packet",
+    )
+    cluster.load_trace(workload.generate())
+    cluster.run(duration_s)
+    return cluster
+
+
 def accounting_lines(cluster: GageCluster) -> List[str]:
     """The canonical serialized accounting output of a finished run."""
     lines = []

@@ -1,19 +1,39 @@
 """Point-to-point network interfaces and links.
 
 An :class:`Interface` is one end of a full-duplex link: it owns a bounded
-transmit queue and a transmit process that serializes one frame at a time
-at the configured bandwidth, then delivers to the peer interface after the
+transmit queue and a transmitter that serializes one frame at a time at
+the configured bandwidth, then delivers to the peer interface after the
 propagation latency.  Loss injection (for failure tests) drops frames
 after serialization with a configurable probability.
+
+The transmitter is a two-state (idle / serializing) callback machine, so
+a hop costs exactly two engine events and no generator, ``Event`` or
+closure:
+
+1. **tx-done**, at ``now + total_len * 8 / bandwidth_bps`` evaluated at
+   the instant the frame *starts* serializing — inside :meth:`send` on an
+   idle interface, inside the previous frame's tx-done otherwise
+   (``bandwidth_bps`` is read then, not when the frame was queued:
+   ``Switch.attach`` rewrites it after construction).  It bumps
+   ``tx_frames``/``tx_bytes``, checks ``peer`` and ``up``, draws the loss
+   RNG (only when a peer is set and the interface is up), schedules the
+   delivery, and starts the next waiting frame or goes idle.
+2. **delivery**, at ``now + latency_s`` evaluated at the tx-done instant;
+   the peer checks its own ``up`` and bumps ``rx_*``.
+
+The two are separate events, never ``start + (ser + latency)``: fault
+injection flips ``up`` mid-run, so the interface's state at the end of
+serialization is observable, and the two float additions are part of the
+bit-exact golden digests.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from repro.sim.engine import Environment
-from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
@@ -29,7 +49,18 @@ ReceiveHook = Callable[["Packet", "Interface"], None]
 
 
 class Interface:
-    """One end of a full-duplex link."""
+    """One end of a full-duplex link.
+
+    ``queue_frames`` bounds the frames *waiting* to be serialized; the
+    frame on the wire is not one of them (nor is it in
+    :attr:`queue_depth`), so an idle interface accepts ``queue_frames + 1``
+    back-to-back sends.  Every instant is treated alike: there is no
+    start-up event, so this holds from the instant of construction on.
+    (The process-based transmitter this replaced counted the on-the-wire
+    slot as a queue slot for sends issued in the very instant it was
+    constructed, before its bootstrap event ran; no cluster run sends
+    then, as the unchanged golden digests show.)
+    """
 
     def __init__(
         self,
@@ -47,6 +78,8 @@ class Interface:
             raise ValueError("latency must be non-negative")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must lie in [0, 1)")
+        if queue_frames <= 0:
+            raise ValueError("queue_frames must be positive")
         self.env = env
         self.name = name
         self.bandwidth_bps = float(bandwidth_bps)
@@ -59,14 +92,15 @@ class Interface:
         self.up = True
         #: Called with (packet, this interface) on frame arrival.
         self.on_receive: Optional[ReceiveHook] = None
-        self._queue = Store(env, capacity=queue_frames)
+        self._queue_frames = queue_frames
+        self._waiting: Deque["Packet"] = deque()
+        self._busy = False
         self.tx_frames = 0
         self.tx_bytes = 0
         self.rx_frames = 0
         self.rx_bytes = 0
         self.dropped_full = 0
         self.dropped_loss = 0
-        env.process(self._tx_loop())
 
     def __repr__(self) -> str:
         return "<Interface {} tx={} rx={}>".format(self.name, self.tx_frames, self.rx_frames)
@@ -81,34 +115,43 @@ class Interface:
     @property
     def queue_depth(self) -> int:
         """Frames currently waiting to be serialized."""
-        return len(self._queue)
+        return len(self._waiting)
 
     def send(self, packet: "Packet") -> bool:
         """Queue a frame for transmission; False (and a drop) if full."""
-        if self._queue.try_put(packet):
-            return True
-        self.dropped_full += 1
-        return False
+        if not self._busy:
+            self._busy = True
+            self.env.call_later(self.serialization_delay(packet), self._tx_done, packet)
+        elif len(self._waiting) >= self._queue_frames:
+            self.dropped_full += 1
+            return False
+        else:
+            self._waiting.append(packet)
+        return True
 
     def serialization_delay(self, packet: "Packet") -> float:
         """Seconds needed to clock the frame onto the wire."""
         return packet.total_len * 8.0 / self.bandwidth_bps
 
-    def _tx_loop(self):
-        while True:
-            packet = yield self._queue.get()
-            yield self.env.timeout(self.serialization_delay(packet))
-            self.tx_frames += 1
-            self.tx_bytes += packet.total_len
-            if self.peer is None:
-                continue
+    def _tx_done(self, packet: "Packet") -> None:
+        """``packet`` has left the wire: count it, hand it on, start the next."""
+        self.tx_frames += 1
+        self.tx_bytes += packet.total_len
+        peer = self.peer
+        if peer is not None:
             if not self.up:
                 self.dropped_loss += 1
-                continue
-            if self.loss_rate and self._loss_rng.random() < self.loss_rate:
+            elif self.loss_rate and self._loss_rng.random() < self.loss_rate:
                 self.dropped_loss += 1
-                continue
-            self.env.call_later(self.latency_s, self.peer._deliver, packet)
+            else:
+                self.env.call_later(self.latency_s, peer._deliver, packet)
+        if self._waiting:
+            following = self._waiting.popleft()
+            self.env.call_later(
+                self.serialization_delay(following), self._tx_done, following
+            )
+        else:
+            self._busy = False
 
     def _deliver(self, packet: "Packet") -> None:
         if not self.up:

@@ -9,6 +9,11 @@ lands (new workload model, different topology), recompute the digest
 with ``python -m repro.harness.golden`` style driver below and say so
 loudly in the commit message — never update this file to paper over an
 unexplained mismatch.
+
+``golden_packet.sha256`` is the same gate for the packet path: it was
+recorded with the ``Store``-and-process link transmitter (the parent of
+the callback transmitter in ``repro.net.link``), so a reordered
+same-instant tie or a re-associated ``now + delay`` on any hop fails here.
 """
 
 from pathlib import Path
@@ -18,9 +23,11 @@ from repro.harness.golden import (
     accounting_digest,
     accounting_lines,
     golden_fig3_cluster,
+    golden_packet_cluster,
 )
 
 GOLDEN_FILE = Path(__file__).with_name("golden_fig3.sha256")
+GOLDEN_PACKET_FILE = Path(__file__).with_name("golden_packet.sha256")
 
 
 def test_fixed_seed_run_matches_committed_digest():
@@ -30,6 +37,21 @@ def test_fixed_seed_run_matches_committed_digest():
         "fixed-seed accounting output diverged from the committed golden "
         "digest ({}) — the engine is no longer bit-exact".format(SCENARIO)
     )
+
+
+def test_packet_fidelity_run_matches_committed_digest():
+    committed = GOLDEN_PACKET_FILE.read_text().strip()
+    cluster = golden_packet_cluster()
+    assert accounting_digest(cluster) == committed, (
+        "fixed-seed packet-fidelity output diverged from the committed "
+        "golden digest — the packet path is no longer bit-exact"
+    )
+    # The scenario must keep reaching what it exists to cover: frames on
+    # the wire, completions on all three subscribers, and refusals.
+    stats = cluster.fleet.stats
+    assert stats.completed > 300 and stats.failed > 100
+    assert {host for _at, host in cluster.completions} == {"gold", "silver", "flood"}
+    assert sum(switch.forwarded for switch in cluster.switches) > 5000
 
 
 def test_golden_run_produces_substantial_output():

@@ -27,6 +27,8 @@ def test_interface_validation():
         Interface(env, "x", latency_s=-1)
     with pytest.raises(ValueError):
         Interface(env, "x", loss_rate=1.0)
+    with pytest.raises(ValueError):
+        Interface(env, "x", queue_frames=0)
 
 
 def test_point_to_point_delivery_timing():
@@ -62,13 +64,46 @@ def test_serialization_is_sequential():
 
 
 def test_queue_overflow_drops():
+    """``queue_frames`` counts waiting frames, not the one on the wire."""
     env = Environment()
     a = Interface(env, "a", queue_frames=2)
     b = Interface(env, "b")
     a.connect(b)
-    accepted = [a.send(frame("02:00:00:00:00:01", "02:00:00:00:00:02")) for _ in range(5)]
-    assert accepted.count(True) <= 3  # 2 queued + possibly 1 in flight
-    assert a.dropped_full >= 2
+    received = []
+    b.on_receive = lambda pkt, iface: received.append(pkt)
+    frames = [frame("02:00:00:00:00:01", "02:00:00:00:00:02") for _ in range(5)]
+    accepted = [a.send(pkt) for pkt in frames]
+    assert accepted == [True, True, True, False, False]  # 1 on the wire + 2 waiting
+    assert a.queue_depth == 2
+    assert a.dropped_full == 2
+    env.run()
+    assert len(received) == 3
+    assert all(got is sent for got, sent in zip(received, frames))
+    assert a.queue_depth == 0
+
+
+def test_a_hop_costs_two_engine_events():
+    """tx-done and delivery: nothing else is scheduled per frame, and an
+    interface that never sends schedules nothing at all."""
+    env = Environment()
+    a = Interface(env, "a")
+    b = Interface(env, "b")
+    a.connect(b)
+    env.run()
+    assert env.events_dispatched == 0
+    received = []
+    b.on_receive = lambda pkt, iface: received.append(pkt)
+    count = 25
+    for _ in range(count):  # back to back: all but the first wait their turn
+        a.send(frame("02:00:00:00:00:01", "02:00:00:00:00:02"))
+    env.run()
+    assert len(received) == count
+    assert env.events_dispatched == 2 * count
+    for _ in range(count):  # one at a time: every frame finds the wire idle
+        a.send(frame("02:00:00:00:00:01", "02:00:00:00:00:02"))
+        env.run()
+    assert len(received) == 2 * count
+    assert env.events_dispatched == 4 * count
 
 
 def test_double_connect_rejected():
