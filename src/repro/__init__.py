@@ -38,14 +38,7 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.harness` — per-table/figure experiment runners.
 """
 
-# The compiled-core loader must decide *before* any hot module is
-# imported whether mypyc extensions (if built) may serve repro.sim /
-# repro.net — and pin the pure sources when they may not.
-from repro import _compiled as _compiled
-
-_compiled.install()
-
-from repro.core import (  # noqa: E402
+from repro.core import (
     GageCluster,
     GageConfig,
     GENERIC_REQUEST,
@@ -54,9 +47,9 @@ from repro.core import (  # noqa: E402
     Subscriber,
     grps,
 )
-from repro.resources import ResourceVector  # noqa: E402
-from repro.sim import Environment  # noqa: E402
-from repro.workload import SpecWeb99Workload, SyntheticWorkload  # noqa: E402
+from repro.resources import ResourceVector
+from repro.sim import Environment
+from repro.workload import SpecWeb99Workload, SyntheticWorkload
 
 __version__ = "1.0.0"
 

@@ -129,12 +129,6 @@ class GageConfig:
         still queued when it expires is answered 504 without dialing a
         backend, and backend waits never extend past the remaining
         deadline.  ``None`` disables deadlines.
-    proxy_event_loop:
-        Which event loop the proxy's worker processes and CLI entry
-        points run on: ``"auto"`` (uvloop when importable, else the
-        stdlib loop), ``"uvloop"`` (required — fail if missing), or
-        ``"asyncio"`` (stdlib always).  See
-        :mod:`repro.proxy.loop_policy`.
     """
 
     scheduling_cycle_s: float = 0.010
@@ -168,7 +162,6 @@ class GageConfig:
     proxy_retry_budget: Optional[int] = None
     proxy_retry_budget_refill_per_s: float = 1.0
     proxy_request_deadline_s: Optional[float] = None
-    proxy_event_loop: str = "auto"
     #: Online placement with admission control (extension, §Placement in
     #: the docs): ``"off"`` admits everything and leaves dispatch
     #: unrestricted (the paper's model); ``"utilization"`` packs
@@ -249,7 +242,3 @@ class GageConfig:
             )
         if self.placement_k_backup < 0:
             raise ValueError("placement k_backup must be non-negative")
-        if self.proxy_event_loop not in ("auto", "uvloop", "asyncio"):
-            raise ValueError(
-                "proxy_event_loop must be 'auto', 'uvloop', or 'asyncio'"
-            )

@@ -327,11 +327,6 @@ def _registry() -> Tuple[Tunable, ...]:
             lo=0.1, hi=30.0, optional=True,
         ),
         Tunable(
-            "proxy_event_loop", CHOICE, "auto",
-            "Event loop for proxy workers and CLI entry points.",
-            choices=("auto", "uvloop", "asyncio"),
-        ),
-        Tunable(
             "placement_policy", CHOICE, "off",
             "Online embedding + admission control (extension; off is the "
             "paper's admit-everything model).",

@@ -48,18 +48,13 @@ def environment_stamp() -> Dict[str, str]:
     ``cpus`` lets the compare script demote assertions that need real
     parallelism (``min_cores`` in a record's ``extra_info``) to advisory
     on small runners instead of committing their numbers as truth.
-    ``repro_build`` records whether the mypyc-compiled core served the
-    run, so a document can always be traced to the build it measured.
     """
-    from repro import _compiled
-
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpus": str(os.cpu_count() or 0),
-        "repro_build": _compiled.build_kind(),
     }
 
 

@@ -133,9 +133,8 @@ class Packet:
         """A field-for-field copy (fresh packet id) with optional overrides.
 
         This is the forwarding path's copy-on-mutate primitive: a direct
-        positional constructor call (no ``__new__`` tricks — the compiled
-        build forbids creating native instances without ``__init__``),
-        touching only the headers the caller overrides afterwards.
+        positional constructor call, touching only the headers the caller
+        overrides afterwards.
         """
         new = Packet(
             self.src_mac,

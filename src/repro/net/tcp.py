@@ -410,9 +410,9 @@ class HostStack:
         self.default_mac: Optional[MACAddress] = None
         #: Optional dynamic resolver (see :mod:`repro.net.arp`): frames
         #: whose destination MAC could not be determined statically are
-        #: resolved on the wire instead of broadcast.  Typed ``Any`` so the
-        #: compiled build keeps it a plain boxed attribute — the resolver
-        #: class lives in an uncompiled module assigned from outside.
+        #: resolved on the wire instead of broadcast.  Typed ``Any``: the
+        #: resolver is assigned from outside and only has to provide
+        #: ``send_resolved(packet)``.
         self.arp_service: Optional[Any] = None
         self._conns: Dict[Quadruple, Connection] = {}
         self._listeners: Dict[int, Acceptor] = {}

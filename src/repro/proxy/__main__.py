@@ -14,10 +14,10 @@ per-subscriber report, and exits.
 from __future__ import annotations
 
 import argparse
+import asyncio
 import sys
 from typing import Dict, Tuple
 
-from repro.proxy import loop_policy
 from repro.proxy.demo import run_demo
 
 
@@ -49,12 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:GRPS:RPS",
         help="host:reservation_grps:offered_rps (repeatable)",
     )
-    parser.add_argument(
-        "--event-loop",
-        choices=loop_policy.POLICIES,
-        default="auto",
-        help="event loop implementation (default: auto = uvloop if importable)",
-    )
     return parser
 
 
@@ -67,15 +61,14 @@ def main(argv=None) -> int:
     reservations: Dict[str, float] = {host: grps for host, grps, _ in subscribers}
     rates: Dict[str, float] = {host: rate for host, _, rate in subscribers}
 
-    result = loop_policy.run(
+    result = asyncio.run(
         run_demo(
             reservations=reservations,
             rates=rates,
             duration_s=args.duration,
             num_backends=args.backends,
             time_scale=args.time_scale,
-        ),
-        policy=args.event_loop,
+        )
     )
     print("{:<24} {:>11} {:>9} {:>9} {:>10}".format(
         "subscriber", "reservation", "completed", "refused", "mean lat"))

@@ -9,10 +9,7 @@ of SimPy, purpose-built for the Gage reproduction.  The engine provides:
   the primitive occurrences processes wait on.
 - :class:`~repro.sim.process.Process` — generator-based simulated processes
   with interrupt support.
-- :class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.PriorityResource`,
-  :class:`~repro.sim.resources.Container`,
-  :class:`~repro.sim.resources.Store` — contention primitives.
+- :class:`~repro.sim.resources.Resource` — the contention primitive.
 - :class:`~repro.sim.rng.RandomStreams` — named, independently seeded
   random streams for reproducible experiments.
 
@@ -25,24 +22,21 @@ from repro.sim.engine import Environment, NORMAL_PRIORITY, URGENT_PRIORITY
 from repro.sim.errors import Interrupt, SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
     "NORMAL_PRIORITY",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Resource",
     "SimulationError",
     "StopSimulation",
-    "Store",
     "Timeout",
     "URGENT_PRIORITY",
 ]

@@ -24,20 +24,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 from repro.sim.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle breaker for typing only
-    from mypy_extensions import mypyc_attr
-
     from repro.sim.engine import Environment
-else:
-    # mypyc consumes the decorator at compile time; the pure-Python build
-    # only needs *a* callable of the same shape, so installs without
-    # mypy_extensions (it is not a runtime dependency) keep working.
-    try:
-        from mypy_extensions import mypyc_attr
-    except ImportError:
-
-        def mypyc_attr(*attrs, **kwattrs):
-            return lambda cls: cls
-
 
 Callback = Callable[["Event"], None]
 
@@ -50,12 +37,8 @@ URGENT_PRIORITY = 0
 _PENDING = object()
 
 
-@mypyc_attr(allow_interpreted_subclasses=True)
 class Event:
     """A one-shot occurrence that processes can wait for.
-
-    Interpreted code subclasses this (e.g. ``repro.sim.resources.Request``),
-    so the compiled build must keep the class open to non-native subclasses.
 
     Parameters
     ----------

@@ -13,8 +13,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: The generator protocol processes implement.  The yield type is
 #: deliberately ``object`` rather than ``Event``: yielding a non-event is
 #: a guarded *runtime* error path (``_resume`` throws ``SimulationError``
-#: into the offender), and declaring ``Event`` here would let the compiled
-#: build short-circuit that path with a checked-cast ``TypeError`` instead.
+#: into the offender), and declaring ``Event`` here would tell a type
+#: checker that path cannot happen.
 ProcessGenerator = Generator[object, object, object]
 
 

@@ -16,6 +16,7 @@ the callback transmitter in ``repro.net.link``), so a reordered
 same-instant tie or a re-associated ``now + delay`` on any hop fails here.
 """
 
+import importlib
 from pathlib import Path
 
 from repro.harness.golden import (
@@ -28,6 +29,27 @@ from repro.harness.golden import (
 
 GOLDEN_FILE = Path(__file__).with_name("golden_fig3.sha256")
 GOLDEN_PACKET_FILE = Path(__file__).with_name("golden_packet.sha256")
+
+
+def test_engine_modules_run_from_source():
+    # Python's file finder prefers an extension module over the .py next
+    # to it, so a leftover build of one of these would run (and be what
+    # the digests below measure) instead of the source in the tree.
+    origins = [
+        importlib.import_module(name).__file__
+        for name in (
+            "repro.sim.events",
+            "repro.sim.process",
+            "repro.sim.engine",
+            "repro.net.packet",
+            "repro.net.tcp",
+        )
+    ]
+    stale = [origin for origin in origins if not origin.endswith(".py")]
+    assert not stale, (
+        "not loaded from source: {} — delete stale extensions: "
+        "find src -name '*.so' -delete".format(stale)
+    )
 
 
 def test_fixed_seed_run_matches_committed_digest():

@@ -39,7 +39,62 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.net import Interface, IPAddress, MACAddress, Packet, TCPFlags
-from repro.sim import Environment, Store
+from repro.sim import Environment, Event
+
+
+class Store:
+    """The FIFO object queue ``repro.sim.resources`` had until its last
+    caller (the transmitter below) left ``src/``; carried with it."""
+
+    def __init__(self, env, capacity):
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self.env = env
+        self._capacity = capacity
+        self._items = []
+        self._getters = []
+        self._putters = []
+
+    def __len__(self):
+        return len(self._items)
+
+    def put(self, item):
+        """Append ``item``; pends while the store is full."""
+        event = Event(self.env)
+        self._putters.append((item, event))
+        self._dispatch()
+        return event
+
+    def try_put(self, item):
+        """Non-blocking put; returns False if the store is full."""
+        if len(self._items) + len(self._putters) >= self._capacity:
+            return False
+        self.put(item)
+        return True
+
+    def get(self):
+        """Remove and return the oldest item; pends while empty."""
+        event = Event(self.env)
+        self._getters.append(event)
+        self._dispatch()
+        return event
+
+    def _dispatch(self):
+        while self._putters and len(self._items) < self._capacity:
+            item, event = self._putters.pop(0)
+            self._items.append(item)
+            event.succeed(item)
+        while self._getters and self._items:
+            event = self._getters.pop(0)
+            event.succeed(self._items.pop(0))
+        # Draining items may have freed space for more putters.
+        while self._putters and len(self._items) < self._capacity:
+            item, event = self._putters.pop(0)
+            self._items.append(item)
+            event.succeed(item)
+            while self._getters and self._items:
+                getter = self._getters.pop(0)
+                getter.succeed(self._items.pop(0))
 
 
 class ReferenceInterface(Interface):

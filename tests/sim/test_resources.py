@@ -1,8 +1,10 @@
-"""Tests for Resource, PriorityResource, Container, and Store."""
+"""Tests for Resource."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource
 
 
 def test_resource_capacity_validation():
@@ -99,191 +101,22 @@ def test_resource_cancel_waiting_request():
     assert resource.queue_length == 0
 
 
-def test_priority_resource_orders_by_priority():
+@settings(max_examples=40, deadline=None)
+@given(holds=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=10))
+def test_resource_never_exceeds_capacity(holds):
     env = Environment()
-    resource = PriorityResource(env, capacity=1)
-    order = []
+    resource = Resource(env, capacity=2)
+    over_capacity = []
 
-    def holder(env):
+    def user(env, hold):
         with resource.request() as req:
             yield req
-            yield env.timeout(1.0)
+            if resource.count > resource.capacity:
+                over_capacity.append(resource.count)
+            yield env.timeout(hold)
 
-    def user(env, name, priority, delay):
-        yield env.timeout(delay)
-        with resource.request(priority=priority) as req:
-            yield req
-            order.append(name)
-
-    env.process(holder(env))
-    env.process(user(env, "low", 5, 0.1))
-    env.process(user(env, "high", 1, 0.2))  # arrives later, higher priority
+    for hold in holds:
+        env.process(user(env, hold))
     env.run()
-    assert order == ["high", "low"]
-
-
-def test_priority_resource_fifo_within_priority():
-    env = Environment()
-    resource = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        with resource.request() as req:
-            yield req
-            yield env.timeout(1.0)
-
-    def user(env, name, delay):
-        yield env.timeout(delay)
-        with resource.request(priority=3) as req:
-            yield req
-            order.append(name)
-
-    env.process(holder(env))
-    env.process(user(env, "first", 0.1))
-    env.process(user(env, "second", 0.2))
-    env.run()
-    assert order == ["first", "second"]
-
-
-def test_container_levels():
-    env = Environment()
-    tank = Container(env, capacity=10.0, init=5.0)
-    assert tank.level == 5.0
-
-    def proc(env):
-        yield tank.get(3.0)
-        assert tank.level == 2.0
-        yield tank.put(4.0)
-        assert tank.level == 6.0
-
-    env.run(until=env.process(proc(env)))
-
-
-def test_container_get_blocks_until_available():
-    env = Environment()
-    tank = Container(env, capacity=10.0, init=0.0)
-    log = []
-
-    def consumer(env):
-        yield tank.get(5.0)
-        log.append(("got", env.now))
-
-    def producer(env):
-        yield env.timeout(2.0)
-        yield tank.put(5.0)
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert log == [("got", 2.0)]
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=4.0, init=4.0)
-    log = []
-
-    def producer(env):
-        yield tank.put(2.0)
-        log.append(("put", env.now))
-
-    def consumer(env):
-        yield env.timeout(3.0)
-        yield tank.get(2.0)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert log == [("put", 3.0)]
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=6)
-    tank = Container(env, capacity=5)
-    with pytest.raises(ValueError):
-        tank.put(0)
-    with pytest.raises(ValueError):
-        tank.get(-1)
-
-
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env):
-        for item in ["x", "y", "z"]:
-            yield store.put(item)
-            yield env.timeout(1.0)
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield store.get()
-            received.append(item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert received == ["x", "y", "z"]
-
-
-def test_store_get_blocks_when_empty():
-    env = Environment()
-    store = Store(env)
-    log = []
-
-    def consumer(env):
-        item = yield store.get()
-        log.append((item, env.now))
-
-    def producer(env):
-        yield env.timeout(2.5)
-        yield store.put("late")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert log == [("late", 2.5)]
-
-
-def test_store_bounded_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer(env):
-        yield store.put("a")
-        yield store.put("b")
-        log.append(("second-put", env.now))
-
-    def consumer(env):
-        yield env.timeout(4.0)
-        yield store.get()
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert log == [("second-put", 4.0)]
-
-
-def test_store_try_put_respects_capacity():
-    env = Environment()
-    store = Store(env, capacity=2)
-    assert store.try_put("a")
-    assert store.try_put("b")
-    assert not store.try_put("c")
-    env.run()
-    assert store.items == ["a", "b"]
-
-
-def test_store_len():
-    env = Environment()
-    store = Store(env)
-    store.put(1)
-    store.put(2)
-    env.run()
-    assert len(store) == 2
+    assert over_capacity == []
+    assert resource.count == 0
