@@ -6,10 +6,12 @@ Usage::
     python scripts/profile_run.py SCENARIO [--top 25] [--sort cumulative]
                                   [--out profile.pstats]
 
-Runs one of the named scenarios below under :mod:`cProfile` and prints
-the top-N entries, so a performance PR starts from data rather than
-guesses.  ``--out`` additionally saves the raw stats for later digging
-with ``pstats`` or ``snakeviz``.
+Runs one of the named scenarios below under :mod:`cProfile`, prints the
+engine's event count and peak heap depth (``repro.sim.events_dispatched``
+and ``repro.sim.queue_depth_peak``), then the top-N entries, so a
+performance PR starts from counts and data rather than guesses.
+``--out`` additionally saves the raw stats for later digging with
+``pstats`` or ``snakeviz``.
 
 Scenarios mirror the benchmark suites: ``fig3-synthetic`` and
 ``fig3-specweb`` are the Figure 3 deviation runs, ``golden`` is the
@@ -180,6 +182,21 @@ def scenario_tune_smoke():
     )
 
 
+def print_engine_counts():
+    """Print the engine's exact work counts from the telemetry registry.
+
+    Unlike the timings below they are a function of tree and scenario
+    alone, so they compare across machines.  Work done in worker
+    processes is not in this process's registry.
+    """
+    from repro.telemetry.registry import get_registry
+
+    registry = get_registry()
+    for name in ("repro.sim.events_dispatched", "repro.sim.queue_depth_peak"):
+        metric = registry.get(name)
+        print("{}: {}".format(name, "not recorded" if metric is None else int(metric.value)))
+
+
 SCENARIOS = {
     "fig3-synthetic": scenario_fig3_synthetic,
     "fig3-specweb": scenario_fig3_specweb,
@@ -213,6 +230,7 @@ def main(argv=None) -> int:
     profiler.enable()
     SCENARIOS[args.scenario]()
     profiler.disable()
+    print_engine_counts()
 
     stats = pstats.Stats(profiler, stream=sys.stdout)
     if args.out:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.webserver import WebServer
 from repro.sim.engine import Environment
-from repro.workload.request import RequestRecord, WebRequest
+from repro.workload.request import RequestRecord, WebRequest, issue_delays
 
 
 class BestEffortDispatcher:
@@ -73,11 +73,11 @@ class BestEffortDispatcher:
 
     def load_trace(self, records: List[RequestRecord]) -> None:
         """Schedule a trace for immediate-dispatch issue."""
-        for record in records:
-            self.env.call_later(
-                max(0.0, record.at_s - self.env.now),
-                lambda r=record: self.submit(r.to_request()),
-            )
+        self.env.call_later_each(
+            issue_delays(records, self.env.now),
+            lambda record: self.submit(record.to_request()),
+            records,
+        )
 
     def completed_rate(self, start_s: float, end_s: float, host: Optional[str] = None) -> float:
         """Completions per second in a window (optionally one host)."""

@@ -22,7 +22,7 @@ from typing import Deque, Dict, List, Tuple
 
 from repro.cluster.webserver import WebServer
 from repro.sim.engine import Environment
-from repro.workload.request import RequestRecord, WebRequest
+from repro.workload.request import RequestRecord, WebRequest, issue_delays
 
 
 @dataclass
@@ -96,11 +96,11 @@ class CountFairDispatcher:
 
     def load_trace(self, records: List[RequestRecord]) -> None:
         """Schedule a trace for issue."""
-        for record in records:
-            self.env.call_later(
-                max(0.0, record.at_s - self.env.now),
-                lambda r=record: self.submit(r.to_request()),
-            )
+        self.env.call_later_each(
+            issue_delays(records, self.env.now),
+            lambda record: self.submit(record.to_request()),
+            records,
+        )
 
     def completed_rate(self, host: str, start_s: float, end_s: float) -> float:
         """Completions per second for one host in a window."""

@@ -38,7 +38,7 @@ from repro.net.tcp import HostStack
 from repro.sim.engine import Environment
 from repro.telemetry.registry import get_registry
 from repro.workload.client import ClientFleet
-from repro.workload.request import CostModel, RequestRecord, WebRequest
+from repro.workload.request import CostModel, RequestRecord, WebRequest, issue_delays
 
 #: Fast Ethernet outgoing-link capacity, bytes per second.
 LINK_BYTES_PER_S = 12_500_000.0
@@ -636,22 +636,15 @@ class GageCluster:
 
     def load_trace(self, records: Sequence[RequestRecord]) -> None:
         """Schedule a trace for issue (transport-appropriate)."""
+        delays = issue_delays(records, self.env.now)
         if self.fidelity == "packet":
             self.fleet.run_trace(records)
-            for record in records:
-                self.env.call_later(
-                    max(0.0, record.at_s - self.env.now),
-                    self._note_arrival,
-                    record.host,
-                )
+            self.env.call_later_each(delays, self._note_arrival, records)
         else:
-            for record in records:
-                self.env.call_later(
-                    max(0.0, record.at_s - self.env.now), self._submit_flow, record
-                )
+            self.env.call_later_each(delays, self._submit_flow, records)
 
-    def _note_arrival(self, host: str) -> None:
-        self.arrivals.append((self.env.now, host, True))
+    def _note_arrival(self, record: RequestRecord) -> None:
+        self.arrivals.append((self.env.now, record.host, True))
 
     def _submit_flow(self, record: RequestRecord) -> None:
         request = record.to_request()

@@ -10,8 +10,7 @@ makes those timings first-class and reproducible:
   resume / slow / partition / heal) against one named target;
 - :class:`FaultSchedule` — a validated, time-ordered plan of actions,
   composable and buildable from seeded randomness
-  (:meth:`FaultSchedule.random_plan` with a
-  :class:`~repro.sim.rng.RandomStreams` stream);
+  (:meth:`FaultSchedule.random_plan` with a seeded ``random.Random``);
 - :class:`FaultInjector` — arms a schedule against a cluster on the
   simulator clock and records what actually fired.
 

@@ -33,14 +33,15 @@ class FaultInjector:
         self.cluster = cluster
         self.schedule = schedule
         self.applied: List[Tuple[float, FaultAction]] = []
-        for action in schedule:
+        actions = schedule.actions()
+        for action in actions:
             if action.at_s < env.now:
                 raise ValueError(
                     "fault at {:.3f}s is already in the past (now={:.3f}s)".format(
                         action.at_s, env.now
                     )
                 )
-            env.call_later(action.at_s - env.now, self._fire, action)
+        env.call_later_each([action.at_s - env.now for action in actions], self._fire, actions)
 
     def __repr__(self) -> str:
         return "<FaultInjector {}/{} fired>".format(

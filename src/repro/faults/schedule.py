@@ -153,9 +153,10 @@ class FaultSchedule:
     ) -> "FaultSchedule":
         """A seeded random crash/restart plan over ``targets``.
 
-        Drawing from a :class:`~repro.sim.rng.RandomStreams` stream
-        (e.g. ``streams.stream("faults")``) makes the whole chaos run
-        reproducible from the experiment seed.  Outages never overlap on
+        The plan is a pure function of ``rng``'s state: pass a
+        ``random.Random`` seeded from the experiment seed, used for
+        nothing else, and the whole chaos run is reproducible from that
+        seed.  Outages never overlap on
         the same target: each target's next crash is drawn after its
         previous restart.
         """

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Callable, List, Optional, Tuple
+from array import array
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.sim.errors import SimulationError, StopSimulation
 from repro.sim.events import NORMAL_PRIORITY, URGENT_PRIORITY, Event, Timeout
@@ -47,6 +48,53 @@ class _ScheduledCallback:
 _HeapItem = Tuple[float, int, int, object]
 
 
+class _StreamedSchedule:
+    """A :meth:`Environment.call_later_each` batch, one heap entry at a time.
+
+    The batch is held sorted by fire time (ties in input order) with the
+    sequence number the per-item ``call_later`` loop would have given each
+    item.  Only the next item is on the heap, under exactly that loop's
+    key; firing it pushes its successor *before* calling ``fn``, so the
+    heap always holds the batch's earliest pending item even if ``fn``
+    raises or stops the run.
+    """
+
+    __slots__ = ("_heap", "_fn", "_times", "_seqs", "_items", "_next", "_callback")
+
+    def __init__(
+        self,
+        heap: List[_HeapItem],
+        fn: Callable[[Any], object],
+        times: array[float],
+        seqs: array[int],
+        items: List[Any],
+    ) -> None:
+        self._heap = heap
+        self._fn = fn
+        self._times = times
+        self._seqs = seqs
+        self._items = items
+        self._next = 0
+        # One callback record serves every item of the batch.
+        self._callback: Optional[_ScheduledCallback] = _ScheduledCallback(self._fire, ())
+        heapq.heappush(heap, (times[0], NORMAL_PRIORITY, seqs[0], self._callback))
+
+    def _fire(self) -> None:
+        position = self._next
+        item = self._items[position]
+        self._items[position] = None  # the batch no longer keeps it alive
+        position += 1
+        self._next = position
+        if position < len(self._times):
+            heapq.heappush(
+                self._heap,
+                (self._times[position], NORMAL_PRIORITY, self._seqs[position], self._callback),
+            )
+        else:
+            self._callback = None  # break the cycle so the batch is freed now
+        self._fn(item)
+
+
 class Environment:
     """A discrete-event simulation environment.
 
@@ -77,7 +125,9 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: Lifetime count of events processed by :meth:`step` / :meth:`run`.
         self.events_dispatched = 0
-        #: Largest heap depth seen (telemetry: scheduling pressure).
+        #: Most heap entries seen at once (telemetry: scheduling pressure).
+        #: A :meth:`call_later_each` batch counts as one entry, however
+        #: many of its items are still pending.
         self.queue_depth_peak = 0
         self._events_published = 0
 
@@ -121,6 +171,42 @@ class Environment:
         heapq.heappush(
             self._heap,
             (self._now + delay, NORMAL_PRIORITY, self._seq, _ScheduledCallback(fn, args)),
+        )
+
+    def call_later_each(
+        self, delays: Sequence[float], fn: Callable[[Any], object], items: Sequence[Any]
+    ) -> None:
+        """Invoke ``fn(item)`` for each item, ``delay`` seconds from now.
+
+        Exactly ``for d, x in zip(delays, items): self.call_later(d, fn, x)``
+        — same fire times (``now + d``), same tie order, same number of
+        dispatched events — except that only the batch's next item sits in
+        the heap, so scheduling a whole trace up front costs one heap entry
+        rather than one per record.  Each item is released once it has fired.
+        Unlike ``zip``, lengths must match; nothing is scheduled on error.
+        """
+        if len(delays) != len(items):
+            raise ValueError("{} delays for {} items".format(len(delays), len(items)))
+        for delay in delays:
+            if delay < 0:
+                raise SimulationError(
+                    "cannot schedule into the past (delay={})".format(delay)
+                )
+        if not delays:
+            return
+        now = self._now
+        times = [now + delay for delay in delays]
+        order = sorted(range(len(times)), key=times.__getitem__)
+        # The loop would have numbered the items seq+1, seq+2, ... in input
+        # order; reserve that block and keep each item's number.
+        first = self._seq + 1
+        self._seq += len(times)
+        _StreamedSchedule(  # pushes its first item; each firing pushes the next
+            self._heap,
+            fn,
+            array("d", map(times.__getitem__, order)),
+            array("q", (first + index for index in order)),
+            [items[index] for index in order],
         )
 
     def call_at(self, when: float, fn: Callable[..., object], *args: object) -> None:
@@ -285,6 +371,10 @@ class Environment:
         Runs every ``_PUBLISH_MASK + 1`` processed events (and at the end
         of each :meth:`run`), so the per-event hot path stays at plain
         integer arithmetic while snapshots remain fresh.
+
+        ``repro.sim.queue_depth`` (now) and ``repro.sim.queue_depth_peak``
+        (largest seen) count heap entries, not pending callbacks: a
+        :meth:`call_later_each` batch is one entry until its last item fires.
         """
         registry = get_registry()
         delta = self.events_dispatched - self._events_published

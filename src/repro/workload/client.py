@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.net.addresses import IPAddress
 from repro.net.tcp import Connection, ConnectionError_, HostStack
 from repro.sim.engine import Environment
-from repro.workload.request import RequestRecord, WebResponse
+from repro.workload.request import RequestRecord, WebResponse, issue_delays
 
 
 @dataclass
@@ -64,8 +64,7 @@ class ClientFleet:
 
     def run_trace(self, records: Sequence[RequestRecord]) -> None:
         """Schedule every record for issue at its trace time."""
-        for record in records:
-            self.env.call_later(max(0.0, record.at_s - self.env.now), self._issue, record)
+        self.env.call_later_each(issue_delays(records, self.env.now), self._issue, records)
 
     def _issue(self, record: RequestRecord) -> None:
         stack = self.stacks[self._next_stack % len(self.stacks)]

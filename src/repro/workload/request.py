@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import List, Sequence
 
 _request_ids = itertools.count(1)
 
@@ -117,3 +118,13 @@ class RequestRecord:
             cpu_extra_s=self.cpu_extra_s,
             issued_at=self.at_s,
         )
+
+
+def issue_delays(records: Sequence[RequestRecord], now: float) -> List[float]:
+    """Seconds from ``now`` until each record is due (0.0 if already past).
+
+    Open-loop replay issues every record at its trace time regardless of
+    what is outstanding, so a trace is scheduled whole with
+    ``env.call_later_each(issue_delays(records, env.now), fn, records)``.
+    """
+    return [max(0.0, record.at_s - now) for record in records]
