@@ -27,7 +27,9 @@ deployment (note: worker processes profile their own time — this
 profiles the supervisor + load-generator side).  ``tune-smoke`` runs a
 small config search twice — fork-per-sweep, then warm-pool — so the
 search harness's own overhead (pool churn vs reuse, memo bookkeeping)
-is profileable like the other hot paths.
+is profileable like the other hot paths.  ``parked`` registers 2 000
+idle tenants, lets them park, and profiles the end-of-run ``sync()``
+that replays their missed refills — the parked-replay cost on its own.
 """
 
 from __future__ import annotations
@@ -182,6 +184,31 @@ def scenario_tune_smoke():
     )
 
 
+def scenario_parked():
+    from repro.core import GageCluster, GageConfig, Subscriber
+    from repro.sim import Environment
+
+    names = ["tenant{:04d}".format(i) for i in range(2000)]
+    cluster = GageCluster(
+        Environment(),
+        [Subscriber(name, 0.1) for name in names],
+        {name: {} for name in names},
+        num_rpns=8,
+        config=GageConfig(accounting_cycle_s=0.25),
+        fidelity="flow",
+        workers_per_site=1,
+    )
+    # Everyone parks in the first cycle; run() ends with the sync that
+    # replays the 274 refills each tenant missed since.
+    cluster.run(2.75)
+    scheduler = cluster.rdn.scheduler
+    print(
+        "parked scenario: {} tenants, {} in the walk after {} cycles".format(
+            len(names), scheduler.active_count(), scheduler.cycles
+        )
+    )
+
+
 def print_engine_counts():
     """Print the engine's exact work counts from the telemetry registry.
 
@@ -206,6 +233,7 @@ SCENARIOS = {
     "proxy": scenario_proxy,
     "proxy-sharded": scenario_proxy_sharded,
     "tune-smoke": scenario_tune_smoke,
+    "parked": scenario_parked,
 }
 
 

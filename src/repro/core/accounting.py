@@ -27,6 +27,7 @@ readers that only look.
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
@@ -35,6 +36,10 @@ from repro.core.feedback import AccountingMessage
 from repro.core.grps import ResourceVector
 from repro.core.subscriber import Subscriber, SubscriberTable
 from repro.telemetry.registry import get_registry
+
+#: Packs a parked state ``(last, *balance, *credit, *cap)`` into the exact
+#: IEEE bits the replay memo is keyed on (``0.0`` and ``-0.0`` differ).
+_pack_parked = struct.Struct("<q9d").pack
 
 
 def _refill(balance: float, add: float, limit: float, cycles: int = 1) -> float:
@@ -112,6 +117,9 @@ class RDNAccounting:
         #: Called with an account whose missed refills were just
         #: replayed; the scheduler exports the balance gauge from here.
         self.on_replay: Callable[[SubscriberAccount], None] = lambda account: None
+        #: Replayed balance by packed parked state, for ``_memo_cycle`` only.
+        self._replay_memo: Dict[bytes, ResourceVector] = {}
+        self._memo_cycle = 0
         #: (time, subscriber, usage) samples, for deviation analysis.
         self.usage_log: List[Tuple[float, str, ResourceVector]] = []
         self.keep_usage_log = True
@@ -247,11 +255,16 @@ class RDNAccounting:
         depending on its place in the visit order, and the walk no
         longer visits it.
 
-        Costs, per component, at most the cycles missed and at most the
-        cycles the balance needs to reach its cap (see :func:`_refill`).
+        Costs, per *distinct* parked state ``(last, balance, credit,
+        cap)`` replayed in the current cycle, at most the cycles missed
+        and at most the cycles the balance needs to reach its cap (see
+        :func:`_refill`); every other account in that state reuses the
+        memoised result.  The memo is keyed on exact bits, not vector
+        equality, because ``_refill`` can return either sign of zero.
         """
         last, credit, cap = account.parked
-        missed = self.cycle - last
+        cycle = self.cycle
+        missed = cycle - last
         if missed <= 0:
             return
         if self.in_walk:
@@ -260,13 +273,21 @@ class RDNAccounting:
                     account.subscriber.name
                 )
             )
+        memo = self._replay_memo
+        if self._memo_cycle != cycle:
+            memo.clear()
+            self._memo_cycle = cycle
         balance = account.balance
-        account.balance = ResourceVector(
-            _refill(balance[0], credit[0], cap[0], missed),
-            _refill(balance[1], credit[1], cap[1], missed),
-            _refill(balance[2], credit[2], cap[2], missed),
-        )
-        account.parked = (self.cycle, credit, cap)
+        key = _pack_parked(last, *balance, *credit, *cap)
+        replayed = memo.get(key)
+        if replayed is None:
+            replayed = memo[key] = ResourceVector(
+                _refill(balance[0], credit[0], cap[0], missed),
+                _refill(balance[1], credit[1], cap[1], missed),
+                _refill(balance[2], credit[2], cap[2], missed),
+            )
+        account.balance = replayed
+        account.parked = (cycle, credit, cap)
         self.on_replay(account)
 
     # -- scheduler-side operations ----------------------------------------
