@@ -55,8 +55,8 @@ def main():
         # degraded node so least-load dispatch sizes it correctly.
         from repro.core import default_rpn_capacity
 
-        cluster.rdn.node_scheduler.node("rpn0").capacity_per_s = (
-            default_rpn_capacity(cpu_speed=0.5)
+        cluster.rdn.node_scheduler.set_capacity(
+            "rpn0", default_rpn_capacity(cpu_speed=0.5)
         )
         print("t= 6.0s  !! rpn0 CPU throttled to half speed (scheduler notified)")
         yield env.timeout(3.0)

@@ -8,8 +8,9 @@ Usage::
 
 Runs one of the named scenarios below under :mod:`cProfile`, prints the
 engine's event count and peak heap depth (``repro.sim.events_dispatched``
-and ``repro.sim.queue_depth_peak``), then the top-N entries, so a
-performance PR starts from counts and data rather than guesses.
+and ``repro.sim.queue_depth_peak``) and the profiled Python call count,
+then the top-N entries, so a performance PR starts from counts and data
+rather than guesses.
 ``--out`` additionally saves the raw stats for later digging with
 ``pstats`` or ``snakeviz``.
 
@@ -30,6 +31,9 @@ search harness's own overhead (pool churn vs reuse, memo bookkeeping)
 is profileable like the other hot paths.  ``parked`` registers 2 000
 idle tenants, lets them park, and profiles the end-of-run ``sync()``
 that replays their missed refills — the parked-replay cost on its own.
+``fig3-calls`` is the 10 s fig-3 run of
+``tests/integration/test_fig3_call_budget.py`` and also prints calls per
+completed request, the figure that test holds to its ceiling.
 """
 
 from __future__ import annotations
@@ -209,6 +213,37 @@ def scenario_parked():
     )
 
 
+def build_fig3_calls():
+    from repro.core import GageCluster, GageConfig, Subscriber
+    from repro.sim import Environment
+    from repro.workload import SyntheticWorkload
+
+    names = ["site{}".format(i + 1) for i in range(4)]
+    workload = SyntheticWorkload(
+        rates={name: 1.5 * 150.0 / 3.07 for name in names},
+        duration_s=10.0,
+        file_bytes=6 * 1024,
+        arrival="poisson",
+        seed=12,
+    )
+    cluster = GageCluster(
+        Environment(),
+        [Subscriber(name, 150.0, queue_capacity=256) for name in names],
+        {name: workload.site_files(name) for name in names},
+        num_rpns=8,
+        config=GageConfig(accounting_cycle_s=1.0, spare_policy="none"),
+        fidelity="flow",
+        rpn_cache_bytes=64 * 1024 * 1024,
+    )
+    cluster.load_trace(workload.generate())
+    return cluster
+
+
+def scenario_fig3_calls(cluster):
+    cluster.run(10.0)
+    return len(cluster.completions)
+
+
 def print_engine_counts():
     """Print the engine's exact work counts from the telemetry registry.
 
@@ -234,6 +269,13 @@ SCENARIOS = {
     "proxy-sharded": scenario_proxy_sharded,
     "tune-smoke": scenario_tune_smoke,
     "parked": scenario_parked,
+    "fig3-calls": scenario_fig3_calls,
+}
+
+#: Scenarios whose set-up runs before the profiler starts; the scenario
+#: is handed what its set-up built.
+SETUPS = {
+    "fig3-calls": build_fig3_calls,
 }
 
 
@@ -254,13 +296,18 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    setup = SETUPS.get(args.scenario)
+    built = () if setup is None else (setup(),)
     profiler = cProfile.Profile()
     profiler.enable()
-    SCENARIOS[args.scenario]()
+    completed = SCENARIOS[args.scenario](*built)
     profiler.disable()
     print_engine_counts()
 
     stats = pstats.Stats(profiler, stream=sys.stdout)
+    print("python calls: {}".format(stats.total_calls))
+    if completed:
+        print("calls per completed request: {:.1f}".format(stats.total_calls / completed))
     if args.out:
         stats.dump_stats(args.out)
         print("raw stats written to {}".format(args.out))

@@ -226,15 +226,19 @@ class CPU:
         rem = self._burst_rem
         q = self.quantum_s
         proc = self._current.proc
+        busy = self.busy_s
         while rem > _RESIDUE_S:
             s = rem if rem < q else q
             boundary = t + s
             if boundary > limit:
                 break
-            proc.charge_cpu(s)
-            self.busy_s += s
+            # proc.charge_cpu(s) in place: the same addition, and its
+            # negative-charge check cannot fire (s > _RESIDUE_S > 0).
+            proc.cpu_s += s
+            busy += s
             t = boundary
             rem = rem - s
+        self.busy_s = busy
         self._burst_t = t
         self._burst_rem = rem
 

@@ -41,6 +41,9 @@ from repro.telemetry.registry import get_registry
 #: IEEE bits the replay memo is keyed on (``0.0`` and ``-0.0`` differ).
 _pack_parked = struct.Struct("<q9d").pack
 
+#: C-level constructor for the once-per-visit refilled balance.
+_new = tuple.__new__
+
 
 def _refill(balance: float, add: float, limit: float, cycles: int = 1) -> float:
     """One resource component after ``cycles`` consecutive refills.
@@ -313,10 +316,13 @@ class RDNAccounting:
         to park out of the per-cycle walk.
         """
         balance = account.balance
-        account.balance = ResourceVector(
-            _refill(balance[0], credit[0], cap[0]),
-            _refill(balance[1], credit[1], cap[1]),
-            _refill(balance[2], credit[2], cap[2]),
+        account.balance = _new(
+            ResourceVector,
+            (
+                _refill(balance[0], credit[0], cap[0]),
+                _refill(balance[1], credit[1], cap[1]),
+                _refill(balance[2], credit[2], cap[2]),
+            ),
         )
 
     def credit(self, name: str, amount: ResourceVector) -> None:

@@ -62,6 +62,9 @@ class CreditLedger:
         self._tracked: Dict[str, ResourceVector] = {}
         #: Deficit-round-robin rollover of unused spare share.
         self._spare_deficit: Dict[str, ResourceVector] = {}
+        #: Per-subscriber ``(capped, predicted, refill_cap(...))`` by id,
+        #: behind :meth:`cycle_cap`.
+        self._cap_by_id: Dict[int, Tuple[ResourceVector, ...]] = {}
 
     # -- reserved credit ----------------------------------------------------
 
@@ -87,9 +90,10 @@ class CreditLedger:
         return entry[1], entry[2]
 
     def forget_credit(self, sid: int) -> None:
-        """Drop a departed subscriber's memo entry (churn)."""
+        """Drop a departed subscriber's memo entries (churn)."""
         if 0 <= sid < len(self._credit_by_id):
             self._credit_by_id[sid] = None
+        self._cap_by_id.pop(sid, None)
 
     def _compute_credit(self, subscriber: Subscriber) -> _CreditEntry:
         cycle = self.config.scheduling_cycle_s
@@ -108,6 +112,23 @@ class CreditLedger:
         could otherwise never dispatch again.
         """
         return capped.max(predicted.scaled(1.5))
+
+    def cycle_cap(
+        self, sid: int, capped: ResourceVector, predicted: ResourceVector
+    ) -> ResourceVector:
+        """:meth:`refill_cap` for the subscriber with id ``sid``, memoised.
+
+        Keyed on the identity of ``(capped, predicted)``: the credit memo
+        hands out the same ``capped`` until the reservation changes, and
+        the estimator the same prediction until feedback arrives, so the
+        two vectors are rebuilt only after one of those.
+        """
+        entry = self._cap_by_id.get(sid)
+        if entry is not None and entry[0] is capped and entry[1] is predicted:
+            return entry[2]
+        cap = self.refill_cap(capped, predicted)
+        self._cap_by_id[sid] = (capped, predicted, cap)
+        return cap
 
     # -- spare pool ---------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.config import (
     NODES_LEAST_LOAD,
@@ -63,16 +63,38 @@ class RPNStatus:
     down_since: Optional[float] = None
     #: How many times this node has been declared dead over the run.
     failures: int = 0
+    #: ``(outstanding, capacity_per_s, load)`` behind :meth:`load_seconds`.
+    _load_memo: Tuple[object, object, float] = field(
+        default=(None, None, 0.0), init=False, repr=False, compare=False
+    )
 
     def load_seconds(self) -> float:
-        """Outstanding work expressed as seconds of the busiest resource."""
-        return self.outstanding.dominant_fraction_of(self.capacity_per_s)
+        """Outstanding work expressed as seconds of the busiest resource.
+
+        Memoised on the *identity* of ``(outstanding, capacity_per_s)``.
+        Both are immutable vectors that every writer replaces — dispatch
+        and feedback here, but also plain assignments by an operator or a
+        test — so any write is a new object and misses the memo, while the
+        memo's own references keep an id from being reused.  Equality
+        would cost three float compares and would let ``-0.0`` stand in
+        for ``0.0``, whose load differs in sign.
+        """
+        outstanding, capacity, load = self._load_memo
+        if outstanding is self.outstanding and capacity is self.capacity_per_s:
+            return load
+        outstanding = self.outstanding
+        capacity = self.capacity_per_s
+        load = outstanding.dominant_fraction_of(capacity)
+        self._load_memo = (outstanding, capacity, load)
+        return load
 
     def has_headroom(self, predicted: ResourceVector, window_s: float) -> bool:
         """Can this node take one more request of ``predicted`` usage
         without exceeding ``window_s`` seconds of queued work?"""
-        after = self.outstanding + predicted
-        return after.dominant_fraction_of(self.capacity_per_s) <= window_s
+        return (
+            self.outstanding.dominant_fraction_after(predicted, self.capacity_per_s)
+            <= window_s
+        )
 
 
 class NodeScheduler:
@@ -97,8 +119,8 @@ class NodeScheduler:
         self._nodes: Dict[str, RPNStatus] = {}
         self._rr_index = 0
         #: Memoized :meth:`total_capacity_per_s`; capacities change only
-        #: on node add / health transitions, but the spare-pool math reads
-        #: the total every scheduling cycle.
+        #: on node add / health transitions / :meth:`set_capacity`, but the
+        #: spare-pool math reads the total every scheduling cycle.
         self._capacity_cache: Optional[ResourceVector] = None
 
     def __len__(self) -> int:
@@ -112,6 +134,16 @@ class NodeScheduler:
         self._nodes[rpn_id] = status
         self._capacity_cache = None
         return status
+
+    def set_capacity(self, rpn_id: str, capacity_per_s: ResourceVector) -> None:
+        """Replace one node's capacity (a throttled CPU, a slower link).
+
+        Goes through here rather than assigning the status record's
+        ``capacity_per_s``, which would leave :meth:`total_capacity_per_s`
+        — and with it the spare pool — at the old figure.
+        """
+        self._nodes[rpn_id].capacity_per_s = capacity_per_s
+        self._capacity_cache = None
 
     def node(self, rpn_id: str) -> RPNStatus:
         """The status record for one node."""
@@ -208,11 +240,17 @@ class NodeScheduler:
                     continue
                 if allowed is not None and status.rpn_id not in allowed:
                     continue
+                outstanding = status.outstanding
                 capacity = status.capacity_per_s
-                after = status.outstanding + predicted
-                if after.dominant_fraction_of(capacity) > window:
+                if outstanding.dominant_fraction_after(predicted, capacity) > window:
                     continue
-                load = status.outstanding.dominant_fraction_of(capacity)
+                # load_seconds() with its memo hit read in place: only the
+                # node picked last (or just reported on) misses.
+                memo = status._load_memo
+                if memo[0] is outstanding and memo[1] is capacity:
+                    load = memo[2]
+                else:
+                    load = status.load_seconds()
                 if best is None or load < best_load:
                     best = status
                     best_load = load

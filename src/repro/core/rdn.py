@@ -362,6 +362,11 @@ class PrimaryRDN:
             return
         threshold = limit * self.config.accounting_cycle_s
         now = self.env.now
+        # Subtraction is monotone in ``last``: when the stalest report is
+        # not overdue, none is, and the per-node loop would find nothing.
+        last_feedback = self._last_feedback
+        if not last_feedback or now - min(last_feedback.values()) <= threshold:
+            return
         for status in self.node_scheduler.up_nodes():
             last = self._last_feedback.get(status.rpn_id)
             if last is not None and now - last > threshold:

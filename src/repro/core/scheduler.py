@@ -44,8 +44,7 @@ anything else.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.core.accounting import RDNAccounting, SubscriberAccount
 from repro.core.config import (
@@ -69,9 +68,16 @@ DispatchFn = Callable[[object, str, str, ResourceVector], None]
 PREDICTION_ERROR_BUCKETS_PCT = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0]
 
 
-@dataclass(frozen=True)
-class ScheduleDecision:
-    """One dispatch made during a scheduling cycle."""
+#: C-level constructor for the per-dispatch :class:`ScheduleDecision`.
+_new = tuple.__new__
+
+
+class ScheduleDecision(NamedTuple):
+    """One dispatch made during a scheduling cycle.
+
+    Immutable and built in C on every dispatch; being a tuple, it also
+    compares equal to the plain 4-tuple of its fields.
+    """
 
     subscriber: str
     rpn_id: str
@@ -238,7 +244,7 @@ class RequestScheduler:
         # (heavy-tailed workloads) could never dispatch again.
         estimator = self._estimator(name)
         predicted = estimator.predict()
-        cap = self.ledger.refill_cap(capped, predicted)
+        cap = self.ledger.cycle_cap(sid, capped, predicted)
         account = self.accounting.account_by_id(sid)
         if account is None:
             raise KeyError(name)
@@ -286,7 +292,7 @@ class RequestScheduler:
             self.dispatch_fn(request, rpn_id, name, predicted)
             self.reserved_dispatches += 1
             self._reserved_counter.inc()
-            decisions.append(ScheduleDecision(name, rpn_id, predicted, spare=False))
+            decisions.append(_new(ScheduleDecision, (name, rpn_id, predicted, False)))
         return decisions
 
     def _note_balance(self, account: SubscriberAccount) -> None:
@@ -398,7 +404,7 @@ class RequestScheduler:
                         predicted.in_generic_requests(self.config.generic_request)
                     )
                     decisions.append(
-                        ScheduleDecision(name, rpn_id, predicted, spare=True)
+                        _new(ScheduleDecision, (name, rpn_id, predicted, True))
                     )
                 if _round == 0:
                     # Whatever the queue could not spend this round rolls

@@ -130,6 +130,31 @@ class ResourceVector(NamedTuple):
                 best = r
         return 0.0 if best is None else best
 
+    def dominant_fraction_after(
+        self, add: "ResourceVector", capacity: "ResourceVector"
+    ) -> float:
+        """``(self + add).dominant_fraction_of(capacity)``, without the sum.
+
+        The same float operations in the same order (a sum whose
+        capacity component is zero is never read), so the result is
+        bit-equal; the dispatch headroom test runs this per node per pick.
+        """
+        best = None
+        c = capacity[0]
+        if c > 0:
+            best = (self[0] + add[0]) / c
+        c = capacity[1]
+        if c > 0:
+            r = (self[1] + add[1]) / c
+            if best is None or r > best:
+                best = r
+        c = capacity[2]
+        if c > 0:
+            r = (self[2] + add[2]) / c
+            if best is None or r > best:
+                best = r
+        return 0.0 if best is None else best
+
     def in_generic_requests(self, generic: "ResourceVector" = None) -> float:
         """This usage expressed as a number of generic requests.
 

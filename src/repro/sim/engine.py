@@ -24,26 +24,13 @@ __all__ = [
 _PUBLISH_MASK = 4096 - 1
 
 
-class _ScheduledCallback:
-    """A heap item that invokes ``fn(*args)`` when popped.
-
-    :meth:`Environment.call_later` used to allocate an :class:`Event`, a
-    callbacks list, and a closure per call; this two-slot record replaces
-    all three.  It cannot fail, cannot be waited on, and carries no value
-    — the engine just calls it and moves on.
-    """
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: Callable[..., object], args: Tuple[object, ...]) -> None:
-        self.fn = fn
-        self.args = args
-
-    def __repr__(self) -> str:
-        return "<_ScheduledCallback {}>".format(
-            getattr(self.fn, "__qualname__", self.fn)
-        )
-
+#: The heap payload of a scheduled call: ``(fn, args)``, invoked as
+#: ``fn(*args)`` when popped — no :class:`Event`, callbacks list or
+#: closure, and a tuple is built in C where a record class would run a
+#: Python ``__init__`` per call.  It cannot fail, cannot be waited on, and
+#: carries no value.  Events are never tuples, so ``type(payload) is
+#: tuple`` tells the two heap items apart.
+_Callback = Tuple[Callable[..., object], Tuple[object, ...]]
 
 _HeapItem = Tuple[float, int, int, object]
 
@@ -75,8 +62,8 @@ class _StreamedSchedule:
         self._seqs = seqs
         self._items = items
         self._next = 0
-        # One callback record serves every item of the batch.
-        self._callback: Optional[_ScheduledCallback] = _ScheduledCallback(self._fire, ())
+        # One callback payload serves every item of the batch.
+        self._callback: Optional[_Callback] = (self._fire, ())
         heapq.heappush(heap, (times[0], NORMAL_PRIORITY, seqs[0], self._callback))
 
     def _fire(self) -> None:
@@ -109,7 +96,7 @@ class Environment:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_heap",
         "_seq",
         "_active_process",
@@ -119,7 +106,11 @@ class Environment:
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulated time in seconds.  A plain attribute rather
+        #: than a property: every component reads it on its hot path, and
+        #: a property costs a Python call per read.  Only the engine
+        #: writes it.
+        self.now = float(initial_time)
         self._heap: List[_HeapItem] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
@@ -132,12 +123,7 @@ class Environment:
         self._events_published = 0
 
     def __repr__(self) -> str:
-        return "<Environment t={:.6f} pending={}>".format(self._now, len(self._heap))
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        return "<Environment t={:.6f} pending={}>".format(self.now, len(self._heap))
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -170,7 +156,7 @@ class Environment:
         self._seq += 1
         heapq.heappush(
             self._heap,
-            (self._now + delay, NORMAL_PRIORITY, self._seq, _ScheduledCallback(fn, args)),
+            (self.now + delay, NORMAL_PRIORITY, self._seq, (fn, args)),
         )
 
     def call_later_each(
@@ -194,7 +180,7 @@ class Environment:
                 )
         if not delays:
             return
-        now = self._now
+        now = self.now
         times = [now + delay for delay in delays]
         order = sorted(range(len(times)), key=times.__getitem__)
         # The loop would have numbered the items seq+1, seq+2, ... in input
@@ -217,14 +203,12 @@ class Environment:
         precomputed an exact event time (e.g. a resource rescheduling a
         slice boundary) hit it bit-for-bit.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                "cannot schedule into the past (when={}, now={})".format(when, self._now)
+                "cannot schedule into the past (when={}, now={})".format(when, self.now)
             )
         self._seq += 1
-        heapq.heappush(
-            self._heap, (when, NORMAL_PRIORITY, self._seq, _ScheduledCallback(fn, args))
-        )
+        heapq.heappush(self._heap, (when, NORMAL_PRIORITY, self._seq, (fn, args)))
 
     # -- scheduling -----------------------------------------------------
 
@@ -235,7 +219,7 @@ class Environment:
         if delay < 0:
             raise SimulationError("cannot schedule into the past (delay={})".format(delay))
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
+        heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
@@ -252,12 +236,12 @@ class Environment:
         if not (self.events_dispatched & _PUBLISH_MASK):
             self._publish_telemetry()
         item = heapq.heappop(self._heap)
-        self._now = item[0]
+        self.now = item[0]
         popped = item[3]
-        if type(popped) is _ScheduledCallback:
-            popped.fn(*popped.args)
+        if type(popped) is tuple:
+            popped[0](*popped[1])
             return
-        # Heap items are only ever Events or _ScheduledCallbacks; the
+        # Heap items are only ever Events or (fn, args) payloads; the
         # annotation re-narrows what the heterogeneous heap tuple erased.
         event: Event = popped  # type: ignore[assignment]
         callbacks = event.callbacks
@@ -293,11 +277,11 @@ class Environment:
             wait_callbacks.append(self._stop_on_event)
         else:
             stop_at = float(until)  # type: ignore[arg-type]
-            if stop_at < self._now:
+            if stop_at < self.now:
                 raise SimulationError(
-                    "until={} is in the past (now={})".format(stop_at, self._now)
+                    "until={} is in the past (now={})".format(stop_at, self.now)
                 )
-        sim_start = self._now
+        sim_start = self.now
         wall_start = time.perf_counter()
         # The dispatch loop below is `step()` unrolled with everything
         # bound to locals: one heap pop, one type check, and the callback
@@ -311,23 +295,23 @@ class Environment:
             try:
                 while heap:
                     if stop_at is not None and heap[0][0] > stop_at:
-                        self._now = stop_at
+                        self.now = stop_at
                         return None
                     depth = len(heap)
                     if depth > peak:
                         peak = depth
                     dispatched += 1
                     item = pop(heap)
-                    self._now = item[0]
+                    self.now = item[0]
                     if not (dispatched & _PUBLISH_MASK):
                         self.events_dispatched = dispatched
                         self.queue_depth_peak = peak
                         self._publish_telemetry()
                     popped = item[3]
-                    if type(popped) is _ScheduledCallback:
+                    if type(popped) is tuple:
                         # Fast path: call_later timers are the single most
                         # common heap item in cluster runs.
-                        popped.fn(*popped.args)
+                        popped[0](*popped[1])
                         continue
                     event: Event = popped  # type: ignore[assignment]
                     callbacks = event.callbacks
@@ -347,7 +331,7 @@ class Environment:
                     "run(until=event) finished before the event triggered"
                 )
             if stop_at is not None:
-                self._now = stop_at
+                self.now = stop_at
             return None
         finally:
             self.events_dispatched = dispatched
@@ -357,7 +341,7 @@ class Environment:
     def _note_run_speed(self, sim_start: float, wall_start: float) -> None:
         """Publish the virtual-vs-wall time ratio of the finished run."""
         wall_elapsed = time.perf_counter() - wall_start
-        sim_elapsed = self._now - sim_start
+        sim_elapsed = self.now - sim_start
         if wall_elapsed <= 0 or sim_elapsed <= 0:
             return
         get_registry().gauge("repro.sim.virtual_wall_ratio").set(

@@ -103,7 +103,7 @@ class Event:
         self._value = value
         env = self.env
         env._seq += 1
-        heappush(env._heap, (env._now + delay, NORMAL_PRIORITY, env._seq, self))
+        heappush(env._heap, (env.now + delay, NORMAL_PRIORITY, env._seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -118,7 +118,7 @@ class Event:
         self._value = exception
         env = self.env
         env._seq += 1
-        heappush(env._heap, (env._now + delay, NORMAL_PRIORITY, env._seq, self))
+        heappush(env._heap, (env.now + delay, NORMAL_PRIORITY, env._seq, self))
         return self
 
     # -- composition --------------------------------------------------
@@ -152,7 +152,7 @@ class Timeout(Event):
         self._defused = False
         self._delay = delay
         env._seq += 1
-        heappush(env._heap, (env._now + delay, NORMAL_PRIORITY, env._seq, self))
+        heappush(env._heap, (env.now + delay, NORMAL_PRIORITY, env._seq, self))
 
     @property
     def delay(self) -> float:

@@ -116,3 +116,15 @@ def test_mark_up_readmits_with_drained_state():
     assert scheduler.total_capacity_per_s() == scheduler.node(
         "rpn0"
     ).capacity_per_s + scheduler.node("rpn1").capacity_per_s
+
+
+def test_set_capacity_updates_the_total_behind_the_spare_pool():
+    """A throttled node's lost half leaves the spare pool at once."""
+    scheduler = make_scheduler(num_nodes=3)
+    assert scheduler.total_capacity_per_s().cpu_s == 3.0  # memo now filled
+    scheduler.set_capacity("rpn0", default_rpn_capacity(cpu_speed=0.5))
+    assert scheduler.node("rpn0").capacity_per_s == default_rpn_capacity(cpu_speed=0.5)
+    assert scheduler.total_capacity_per_s().cpu_s == 2.5
+    # The load ranking reads the new capacity too.
+    scheduler.on_dispatch("rpn0", PREDICTED)
+    assert scheduler.node("rpn0").load_seconds() == PREDICTED.cpu_s / 0.5
