@@ -19,7 +19,7 @@ exact same simulated instant on different nodes.
 from __future__ import annotations
 
 import hashlib
-from typing import List
+from typing import List, Optional
 
 from repro.core.config import GageConfig
 from repro.core.simulation import GageCluster
@@ -31,18 +31,23 @@ from repro.workload.synthetic import SyntheticWorkload
 SCENARIO = "golden-fig3/1"
 
 
-def golden_fig3_cluster(duration_s: float = 3.0, seed: int = 7) -> GageCluster:
+def golden_fig3_cluster(
+    duration_s: float = 3.0, seed: int = 7, config: Optional[GageConfig] = None
+) -> GageCluster:
     """Run the canonical small Figure-3-style scenario and return the cluster.
 
     Two subscribers driven above reservation with spare allocation off, a
     100 ms accounting cycle, two RPNs, flow fidelity — small enough for a
     test, busy enough to exercise the CPU slicer, the disk channel, the
-    credit scheduler, and the accounting walk.
+    credit scheduler, and the accounting walk.  ``config`` replaces the
+    scenario's own (a 100 ms accounting cycle, spare off), e.g. to run
+    the same trace with hedging on.
     """
     env = Environment()
     names = ["site1", "site2"]
     subscribers = [Subscriber(name, 120.0, queue_capacity=256) for name in names]
-    config = GageConfig(accounting_cycle_s=0.1, spare_policy="none")
+    if config is None:
+        config = GageConfig(accounting_cycle_s=0.1, spare_policy="none")
     workload = SyntheticWorkload(
         rates={name: 60.0 for name in names},
         duration_s=duration_s,

@@ -14,11 +14,17 @@ unexplained mismatch.
 recorded with the ``Store``-and-process link transmitter (the parent of
 the callback transmitter in ``repro.net.link``), so a reordered
 same-instant tie or a re-associated ``now + delay`` on any hop fails here.
+
+``golden_hedged.sha256`` pins the hedged flow path: the fig-3 scenario
+with a fixed 20 ms hedge delay, recorded before the proxy and the RDN
+shared one hedge manager, so the clone charge, the loser's cancel and
+its refund keep their exact order and floats.
 """
 
 import importlib
 from pathlib import Path
 
+from repro.core.config import GageConfig
 from repro.harness.golden import (
     SCENARIO,
     accounting_digest,
@@ -29,6 +35,7 @@ from repro.harness.golden import (
 
 GOLDEN_FILE = Path(__file__).with_name("golden_fig3.sha256")
 GOLDEN_PACKET_FILE = Path(__file__).with_name("golden_packet.sha256")
+GOLDEN_HEDGED_FILE = Path(__file__).with_name("golden_hedged.sha256")
 
 
 def test_engine_modules_run_from_source():
@@ -74,6 +81,23 @@ def test_packet_fidelity_run_matches_committed_digest():
     assert stats.completed > 300 and stats.failed > 100
     assert {host for _at, host in cluster.completions} == {"gold", "silver", "flood"}
     assert sum(switch.forwarded for switch in cluster.switches) > 5000
+
+
+def test_hedged_run_matches_committed_digest():
+    committed = GOLDEN_HEDGED_FILE.read_text().strip()
+    config = GageConfig(
+        accounting_cycle_s=0.1,
+        spare_policy="none",
+        hedge_policy="fixed",
+        hedge_delay_s=0.02,
+    )
+    cluster = golden_fig3_cluster(config=config)
+    assert accounting_digest(cluster) == committed, (
+        "fixed-seed hedged output diverged from the committed golden "
+        "digest — a clone's charge, cancel or refund moved"
+    )
+    # The scenario must keep cloning, or the digest pins nothing hedged.
+    assert cluster.rdn.hedges._tm_fired.value > 100
 
 
 def test_golden_run_produces_substantial_output():
