@@ -10,9 +10,13 @@ the loser's predicted charge so credit conservation holds exactly:
     Σ charges == Σ completion back-outs + Σ cancellation refunds
                  + Σ node-death forgets + Σ still-pending predictions
 
-The manager never touches the scheduler's default path — it is only
-constructed when ``GageConfig.hedge_policy`` is not ``"off"``, so
-paper-fidelity runs (and the golden digest) are untouched.
+The manager is the one owner of every hedging decision in both stacks —
+when to clone, where (through a hook), the clone's charge and the loser's
+refund, the latency histogram and the ``repro.core.hedge.*`` counters.
+The simulated RDN and the asyncio proxy each supply only a clock and
+their transport verbs (:class:`HedgeHooks`).  It is only constructed when
+``GageConfig.hedge_policy`` is not ``"off"``, so paper-fidelity runs (and
+the golden digest) are untouched.
 
 Delay policies:
 
@@ -27,11 +31,12 @@ Delay policies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
 
+from repro.core.accounting import RDNAccounting
 from repro.core.config import HEDGE_P95, GageConfig
+from repro.core.node_scheduler import NodeScheduler
 from repro.resources import ResourceVector
-from repro.sim.engine import Environment
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.registry import get_registry
 
@@ -81,32 +86,21 @@ class ServiceHandle:
 
 @dataclass
 class HedgeHooks:
-    """The RDN-side operations the hedge manager drives.
+    """The transport verbs a stack lends the hedge manager.
 
     Injected rather than imported so the manager stays decoupled from
-    :class:`~repro.core.rdn.PrimaryRDN` internals (and trivially
-    testable with plain lambdas).
+    both the simulated RDN and the proxy (and trivially testable with
+    plain lambdas).
     """
 
-    #: ``(request, predicted, exclude) -> rpn_id`` — pick a clone
-    #: target, or ``None`` when no other node has headroom.
+    #: ``(request, predicted, exclude) -> node`` — pick a clone target,
+    #: or ``None`` when no other node can take one.
     pick_clone: Callable[[object, ResourceVector, FrozenSet[str]], Optional[str]]
-    #: ``(subscriber, rpn_id, predicted)`` — charge a clone dispatch
-    #: exactly like a primary one (ledger debit + load accounting).
-    charge: Callable[[str, str, ResourceVector], None]
-    #: ``(subscriber, rpn_id, predicted) -> refunded`` — un-charge a
-    #: cancelled copy; ``False`` when the prediction is already gone
-    #: (e.g. the node died and ``forget_rpn`` restored it wholesale).
-    refund: Callable[[str, str, ResourceVector], bool]
-    #: ``(request, rpn_id, subscriber)`` — hand the clone to the
-    #: transport (in-flight registration + flow dispatch).
+    #: ``(request, node, subscriber)`` — start the clone on ``node``.
     dispatch_clone: Callable[[object, str, str], None]
-    #: ``(request, rpn_id) -> cancelled`` — abort the copy in service
-    #: on ``rpn_id``; ``False`` when it already completed.
-    cancel_service: Callable[[object, str], bool]
-    #: ``(request, rpn_id, subscriber)`` — drop a cancelled copy from
-    #: the RDN's in-flight tracking (it will never complete).
-    discard_in_flight: Callable[[object, str, str], None]
+    #: ``(request, node, subscriber) -> cancelled`` — abort the copy on
+    #: ``node`` and stop tracking it; ``False`` when it already finished.
+    cancel: Callable[[object, str, str], bool]
 
 
 class _HedgeEntry:
@@ -130,12 +124,29 @@ class _HedgeEntry:
 
 
 class HedgeManager:
-    """Tracks hedgeable requests and drives clone/cancel/refund."""
+    """Tracks hedgeable requests and drives clone/charge/cancel/refund.
 
-    def __init__(self, env: Environment, config: GageConfig, hooks: HedgeHooks) -> None:
-        self.env = env
+    ``now()`` reads the stack's clock and ``call_later(delay, fn, arg)``
+    schedules on it; a clone is charged to ``accounting`` and
+    ``node_scheduler`` exactly like a primary dispatch, and a cancelled
+    loser is refunded from both.
+    """
+
+    def __init__(
+        self,
+        now: Callable[[], float],
+        call_later: Callable[[float, Callable[[Any], None], Any], object],
+        config: GageConfig,
+        hooks: HedgeHooks,
+        accounting: RDNAccounting,
+        node_scheduler: NodeScheduler,
+    ) -> None:
+        self.now = now
+        self.call_later = call_later
         self.config = config
         self.hooks = hooks
+        self.accounting = accounting
+        self.node_scheduler = node_scheduler
         self._entries: Dict[int, _HedgeEntry] = {}
         #: Winner dispatch→completion latencies, feeding the adaptive
         #: delay.  A private instance (not registry-owned) so parallel
@@ -172,9 +183,9 @@ class HedgeManager:
         self, item: object, rpn_id: str, subscriber: str, predicted: ResourceVector
     ) -> None:
         """Start tracking a freshly dispatched request."""
-        entry = _HedgeEntry(item, subscriber, rpn_id, predicted, self.env.now)
+        entry = _HedgeEntry(item, subscriber, rpn_id, predicted, self.now())
         self._entries[id(item)] = entry
-        self.env.call_later(self.hedge_delay(), self._maybe_hedge, entry)
+        self.call_later(self.hedge_delay(), self._maybe_hedge, entry)
 
     def _maybe_hedge(self, entry: _HedgeEntry) -> None:
         if self._entries.get(id(entry.item)) is not entry or entry.resolved:
@@ -190,12 +201,13 @@ class HedgeManager:
         # A clone is a real second dispatch: it debits the subscriber's
         # ledger and the target's load window just like the primary did,
         # and earns its refund only if it loses and cancels cleanly.
-        self.hooks.charge(entry.subscriber, target, predicted)
+        self.accounting.on_dispatch(entry.subscriber, target, predicted)
+        self.node_scheduler.on_dispatch(target, predicted)
         entry.copies[target] = predicted
         self._tm_fired.inc()
         self.hooks.dispatch_clone(entry.item, target, entry.subscriber)
         if len(entry.copies) <= self.config.hedge_max_clones:
-            self.env.call_later(self.hedge_delay(), self._maybe_hedge, entry)
+            self.call_later(self.hedge_delay(), self._maybe_hedge, entry)
 
     def on_completion(self, item: object, rpn_id: str) -> bool:
         """Note one copy finishing on ``rpn_id``.
@@ -219,19 +231,23 @@ class HedgeManager:
                 self._entries.pop(id(item), None)
             return False
         entry.resolved = True
-        self.latency.observe(self.env.now - entry.dispatched_at)
+        self.latency.observe(self.now() - entry.dispatched_at)
         if rpn_id != entry.primary:
             self._tm_won.inc()
         for other, predicted in list(entry.copies.items()):
             if other == rpn_id:
                 continue
-            if self.hooks.cancel_service(item, other):
+            if self.hooks.cancel(item, other, entry.subscriber):
                 self._tm_cancelled.inc()
-                if self.hooks.refund(entry.subscriber, other, predicted):
+                # ``False`` when the prediction is already gone (the node
+                # died and ``forget_rpn`` restored it wholesale).
+                if self.accounting.on_cancel(entry.subscriber, other, predicted):
+                    # The cancelled copy will never be reported complete,
+                    # so its share of the node's load is released here.
+                    self.node_scheduler.on_feedback(other, predicted)
                     self._tm_refunded_grps.inc(
                         predicted.in_generic_requests(self.config.generic_request)
                     )
-                self.hooks.discard_in_flight(item, other, entry.subscriber)
                 entry.copies.pop(other, None)
         # From here on ``copies`` holds only losers that could not be
         # cancelled; the entry survives exactly until each has finished

@@ -180,16 +180,16 @@ class PrimaryRDN:
         self.hedges: Optional[HedgeManager] = None
         if config.hedge_policy != HEDGE_OFF:
             self.hedges = HedgeManager(
-                env,
+                lambda: env.now,
+                env.call_later,
                 config,
                 HedgeHooks(
                     pick_clone=self._pick_clone_node,
-                    charge=self._charge_clone,
-                    refund=self._refund_clone,
                     dispatch_clone=self._dispatch_clone,
-                    cancel_service=self._cancel_service,
-                    discard_in_flight=self._discard_in_flight,
+                    cancel=self._cancel_copy,
                 ),
+                self.accounting,
+                self.node_scheduler,
             )
         #: Secondary RDNs available for handshake offload, by MAC.
         self._secondaries: List[MACAddress] = []
@@ -732,23 +732,6 @@ class PrimaryRDN:
     ) -> Optional[str]:
         return self.node_scheduler.pick(predicted, request=item, exclude=exclude)
 
-    def _charge_clone(
-        self, subscriber: str, rpn_id: str, predicted: ResourceVector
-    ) -> None:
-        """A clone dispatch debits the ledger exactly like a primary one."""
-        self.accounting.on_dispatch(subscriber, rpn_id, predicted)
-        self.node_scheduler.on_dispatch(rpn_id, predicted)
-
-    def _refund_clone(
-        self, subscriber: str, rpn_id: str, predicted: ResourceVector
-    ) -> bool:
-        refunded = self.accounting.on_cancel(subscriber, rpn_id, predicted)
-        if refunded:
-            # The cancelled copy will never be reported complete, so its
-            # share of the node's outstanding window is released here.
-            self.node_scheduler.on_feedback(rpn_id, predicted)
-        return refunded
-
     def _dispatch_clone(self, item: object, rpn_id: str, subscriber: str) -> None:
         self.ops.dispatches += 1
         self._tm_dispatches.inc()
@@ -758,20 +741,18 @@ class PrimaryRDN:
         if self.flow_dispatch is not None:
             self.flow_dispatch(item, rpn_id, subscriber)
 
-    def _cancel_service(self, item: object, rpn_id: str) -> bool:
-        if self.cancel_service is None:
+    def _cancel_copy(self, item: object, rpn_id: str, subscriber: str) -> bool:
+        """Abort the copy on ``rpn_id`` and drop it from in-flight tracking
+        (it will never complete), by identity."""
+        if self.cancel_service is None or not self.cancel_service(item, rpn_id):
             return False
-        return self.cancel_service(item, rpn_id)
-
-    def _discard_in_flight(self, item: object, rpn_id: str, subscriber: str) -> None:
-        """Remove one cancelled copy from in-flight tracking, by identity."""
         items = self._in_flight.get(rpn_id, {}).get(subscriber)
-        if not items:
-            return
-        for index, queued in enumerate(items):
-            if queued is item:
-                del items[index]
-                return
+        if items:
+            for index, queued in enumerate(items):
+                if queued is item:
+                    del items[index]
+                    break
+        return True
 
     def _note_dispatch_latency(self, item: object, subscriber: str) -> None:
         """Histogram the queue-wait of one dispatched request."""

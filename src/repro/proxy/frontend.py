@@ -23,6 +23,12 @@ and the WRR gate), back-end sockets are pooled and reused
 bodies go out in one vectored write, and bulk bodies are relayed
 transport-to-transport under flow control
 (:func:`~repro.proxy.splice.splice_exactly`).
+
+Every dispatched request is served by one path, :meth:`GageProxy._serve`.
+Hedging (off by default) is decided by the simulator's own
+:class:`~repro.core.hedge.HedgeManager`, run on the loop's clock: it
+tracks bodyless requests, fires clones, charges and refunds them; the
+proxy only lends it the transport verbs (dial a clone, drain a loser).
 """
 
 from __future__ import annotations
@@ -30,12 +36,13 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.accounting import RDNAccounting
 from repro.core.classifier import RequestClassifier
-from repro.core.config import HEDGE_OFF, HEDGE_P95, GageConfig
+from repro.core.config import HEDGE_OFF, GageConfig
 from repro.core.feedback import AccountingMessage, RPNUsageReport
+from repro.core.hedge import HedgeHooks, HedgeManager
 from repro.core.metrics import (
     BACKEND_EJECTED,
     BACKEND_READMITTED,
@@ -90,6 +97,34 @@ class ProxyStats:
     retry_budget_exhausted: int = 0
     #: Requests 504ed because their deadline passed before service began.
     deadline_expired: int = 0
+
+
+#: A backend's answer: its socket, and the response head read from it.
+_Answer = Tuple[asyncio.StreamReader, asyncio.StreamWriter, HTTPResponseHead]
+
+
+class _DialError(OSError):
+    """No connection to the backend could be opened."""
+
+
+#: How one copy of a request can fail.
+_ATTEMPT_FAILURES = (OSError, HTTPError, asyncio.TimeoutError, asyncio.IncompleteReadError)
+
+
+class _Race:
+    """The copies of one hedged request: what the hedge manager tracks.
+
+    ``attempts`` maps each backend holding a copy to its task;
+    ``finished`` yields those backends in the order their tasks finish.
+    """
+
+    __slots__ = ("exchange", "attempts", "finished")
+
+    def __init__(self, exchange: Tuple[object, ...]) -> None:
+        #: The :meth:`GageProxy._attempt` arguments after the backend.
+        self.exchange = exchange
+        self.attempts: Dict[str, "asyncio.Future[_Answer]"] = {}
+        self.finished: "asyncio.Queue[str]" = asyncio.Queue()
 
 
 #: Default per-backend capacity: one CPU-second and disk-second per
@@ -164,6 +199,9 @@ class GageProxy(ClientSessionMixin):
         }
         #: Backends with a probe task in flight (no duplicate probes).
         self._probing: Set[str] = set()
+        #: Tracks bodyless requests when hedging is on; built by
+        #: :meth:`start`, which has the loop whose clock it runs on.
+        self.hedges: Optional[HedgeManager] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: List[asyncio.Task] = []
         self._stopping = False
@@ -183,10 +221,6 @@ class GageProxy(ClientSessionMixin):
         self._tm_timeouts = registry.counter("repro.proxy.timeouts")
         self._tm_ejections = registry.counter("repro.proxy.ejections")
         self._tm_readmissions = registry.counter("repro.proxy.readmissions")
-        self._tm_hedge_fired = registry.counter("repro.proxy.hedge.fired")
-        self._tm_hedge_won = registry.counter("repro.proxy.hedge.won")
-        self._tm_hedge_cancelled = registry.counter("repro.proxy.hedge.cancelled")
-        self._tm_hedge_refunded = registry.counter("repro.proxy.hedge.refunded_grps")
         self._tm_retry_budget_exhausted = registry.counter(
             "repro.proxy.retry_budget_exhausted"
         )
@@ -214,6 +248,20 @@ class GageProxy(ClientSessionMixin):
                 self._handle, host=self.host, port=port
             )
         self.port = self._server.sockets[0].getsockname()[1]
+        if self.config.hedge_policy != HEDGE_OFF:
+            loop = asyncio.get_running_loop()
+            self.hedges = HedgeManager(
+                loop.time,
+                loop.call_later,
+                self.config,
+                HedgeHooks(
+                    pick_clone=self._pick_clone,
+                    dispatch_clone=self._dispatch_clone,
+                    cancel=self._cancel_copy,
+                ),
+                self.accounting,
+                self.node_scheduler,
+            )
         self._tasks.append(asyncio.ensure_future(self._scheduler_loop()))
         self._tasks.append(asyncio.ensure_future(self._accounting_loop()))
         return self.port
@@ -316,14 +364,9 @@ class GageProxy(ClientSessionMixin):
     ) -> None:
         assert isinstance(item, _PendingConnection)
         self.stats.dispatched += 1
-        if self.config.hedge_policy != HEDGE_OFF and item.head.content_length == 0:
-            # Only bodyless requests are hedged: a request body is
-            # consumed from the client stream once, so it cannot be
-            # replayed to a second backend.
-            coro = self._serve_hedged(item, backend_id, subscriber, predicted)
-        else:
-            coro = self._serve(item, backend_id, subscriber)
-        task = asyncio.ensure_future(coro)
+        task = asyncio.ensure_future(
+            self._serve(item, backend_id, subscriber, predicted)
+        )
         self._tasks.append(task)
         self._tasks = [t for t in self._tasks if not t.done()]
 
@@ -348,40 +391,77 @@ class GageProxy(ClientSessionMixin):
         tune_transport(writer.transport)
         return reader, writer, False
 
-    async def _exchange(
+    async def _attempt(
         self,
+        backend_id: str,
         request_head: bytes,
         body_len: int,
         client_reader: asyncio.StreamReader,
         client_writer: asyncio.StreamWriter,
-        backend_reader: asyncio.StreamReader,
-        backend_writer: asyncio.StreamWriter,
-        timeout: Optional[float] = None,
-    ):
-        """Send one request to the backend and read its response head."""
-        await splice_exactly(
-            client_reader, client_writer, backend_writer, body_len, prefix=request_head
-        )
-        await backend_writer.drain()
-        return await asyncio.wait_for(
-            read_response_head(backend_reader),
-            timeout=(
-                timeout if timeout is not None
-                else self.config.proxy_response_timeout_s
-            ),
-        )
+        timeout: float,
+    ) -> _Answer:
+        """One copy of a request: connect, send it, read the response head.
+
+        Raises :class:`_DialError` when no connection could be opened —
+        the one failure a request is retried elsewhere for.  A pooled
+        socket that went stale while parked (the backend closed its end)
+        is redialed fresh once if no request body was consumed from the
+        client: a dead parked socket is not a backend failure.  The
+        socket is closed on any failure, cancellation included, so a
+        lost attempt never leaks a connection.
+        """
+        try:
+            reader, writer, reused = await self._acquire(backend_id)
+        except (OSError, asyncio.TimeoutError) as exc:
+            raise _DialError(str(exc)) from exc
+        try:
+            while True:
+                try:
+                    await splice_exactly(
+                        client_reader, client_writer, writer, body_len,
+                        prefix=request_head,
+                    )
+                    await writer.drain()
+                    response = await asyncio.wait_for(
+                        read_response_head(reader), timeout=timeout
+                    )
+                    return reader, writer, response
+                except (ConnectionError, asyncio.IncompleteReadError) as exc:
+                    if not reused or body_len:
+                        raise
+                    writer.close()
+                    try:
+                        reader, writer, reused = await self._acquire(
+                            backend_id, fresh=True
+                        )
+                    except (OSError, asyncio.TimeoutError):
+                        raise exc from None
+        except BaseException:
+            writer.close()
+            raise
 
     async def _serve(
-        self, pending: _PendingConnection, backend_id: str, subscriber: str
+        self,
+        pending: _PendingConnection,
+        backend_id: str,
+        subscriber: str,
+        predicted: ResourceVector,
     ) -> None:
-        """Proxy one dispatched request, riding out backend failures.
+        """Proxy one dispatched request, hedged or not, riding out failures.
 
-        A connect failure or timeout takes one retry (with exponential
-        backoff) against the least-loaded healthy backend not yet tried;
-        a backend that accepts but never answers is cut off by the
-        response timeout and the client gets a 504.  Usage is always
-        billed under ``backend_id`` — the backend the scheduler charged
-        at dispatch — even when an alternate physically served, so the
+        A request the hedge manager does not track — hedging off, or a
+        request with a body, which can be read from the client only once
+        — awaits its one attempt inline.  A tracked request runs each
+        copy as a task: the manager clones it after the hedge delay, the
+        first response head wins, and the losers are cancelled, refunded
+        by the manager and drained in the background.
+
+        When the last live copy cannot connect, the request takes one
+        retry (with jittered exponential backoff) against the
+        least-loaded healthy backend not yet tried; a backend that
+        accepts but never answers is cut off by the response timeout and
+        the client gets a 504.  Usage is billed under the backend charged
+        for the answering copy — for a retry, the failed copy's — so the
         accounting's pending-prediction queues stay consistent.
 
         On success, the backend socket returns to the pool (if the
@@ -402,20 +482,41 @@ class GageProxy(ClientSessionMixin):
         # The hop to the backend is always keep-alive; the client's own
         # connection preference is honored on the client side only.
         head.headers["connection"] = "keep-alive"
-        request_head = render_request_head(head)
-        tried: Set[str] = set()
-        current = backend_id
+        exchange = (
+            render_request_head(head), body_len, client_reader, client_writer,
+            response_timeout,
+        )
+        race: Optional[_Race] = None
+        if self.hedges is not None and body_len == 0:
+            race = _Race(exchange)
+            self.hedges.on_primary_dispatch(race, backend_id, subscriber, predicted)
+            self._launch(race, backend_id)
+        tried: Set[str] = {backend_id}
+        current = billed = backend_id
         started = self._now()
-        connection = None
-        for attempt in range(2):
-            tried.add(current)
-            try:
-                connection = await self._acquire(current)
-                break
-            except (OSError, asyncio.TimeoutError):
-                self._note_backend_failure(current)
-                alternate = self._pick_alternate(tried)
-                if attempt == 0 and alternate is not None and self._take_retry_token():
+        answer: Optional[_Answer] = None
+        head_sent = released = client_ok = False
+        try:
+            for attempt in range(2):
+                try:
+                    if race is None:
+                        answer = await self._attempt(current, *exchange)
+                    else:
+                        current = billed = await self._first_answer(race, subscriber)
+                        answer = race.attempts[current].result()
+                    break
+                except _DialError:
+                    self._note_backend_failure(current)
+                    if race is not None:
+                        tried.update(race.attempts)
+                        race = None
+                    alternate = self._pick_alternate(tried)
+                    if not (
+                        attempt == 0
+                        and alternate is not None
+                        and self._take_retry_token()
+                    ):
+                        raise
                     self.stats.retried += 1
                     self._tm_retries.inc()
                     # Full-jitter exponential backoff: a burst of failures
@@ -427,55 +528,11 @@ class GageProxy(ClientSessionMixin):
                         )
                     )
                     current = alternate
-                    continue
-                self.stats.failed += 1
-                self._record(backend_id, subscriber, ResourceVector.ZERO, completed=1)
-                if self.node_scheduler.up_nodes():
-                    await self._refuse(client_writer, 502, "Bad Gateway")
-                else:
-                    self.stats.shed_no_backend += 1
-                    self._tm_shed.inc()
-                    self.failures.record(self._now(), REQUEST_SHED, subscriber)
-                    await self._refuse(
-                        client_writer,
-                        503,
-                        "Service Unavailable",
-                        retry_after_s=self._retry_after_s(),
-                    )
-                return
-        backend_reader, backend_writer, reused = connection
-        released = False
-        client_ok = False
-        head_sent = False
-        try:
-            while True:
-                try:
-                    response = await self._exchange(
-                        request_head,
-                        body_len,
-                        client_reader,
-                        client_writer,
-                        backend_reader,
-                        backend_writer,
-                        timeout=response_timeout,
-                    )
-                    break
-                except (ConnectionError, asyncio.IncompleteReadError) as exc:
-                    if reused and body_len == 0:
-                        # The pooled socket went stale while parked (the
-                        # backend closed its end).  Nothing of the request
-                        # was consumed from the client, so redial fresh
-                        # once — a dead parked socket is not a backend
-                        # failure.
-                        backend_writer.close()
-                        try:
-                            backend_reader, backend_writer, reused = (
-                                await self._acquire(current, fresh=True)
-                            )
-                        except (OSError, asyncio.TimeoutError):
-                            raise exc from None
-                        continue
-                    raise
+                    tried.add(current)
+            assert answer is not None
+            if current != backend_id and race is not None:
+                self.stats.hedges_won += 1
+            backend_reader, backend_writer, response = answer
             usage_triple = response.usage()
             backend_keep_alive = wants_keep_alive(response)
             response.headers["connection"] = (
@@ -502,17 +559,32 @@ class GageProxy(ClientSessionMixin):
                 if usage_triple is not None
                 else ResourceVector(0.0, 0.0, float(relayed))
             )
-            self._record(backend_id, subscriber, usage, completed=1)
+            self._record(billed, subscriber, usage, completed=1)
             self._consecutive_failures[current] = 0
             if backend_keep_alive and not self._stopping:
                 released = self.pool.put(current, backend_reader, backend_writer)
             client_ok = True
+        except _DialError:
+            self.stats.failed += 1
+            self._record(billed, subscriber, ResourceVector.ZERO, completed=1)
+            if self.node_scheduler.up_nodes():
+                await self._refuse(client_writer, 502, "Bad Gateway")
+            else:
+                self.stats.shed_no_backend += 1
+                self._tm_shed.inc()
+                self.failures.record(self._now(), REQUEST_SHED, subscriber)
+                await self._refuse(
+                    client_writer,
+                    503,
+                    "Service Unavailable",
+                    retry_after_s=self._retry_after_s(),
+                )
         except asyncio.TimeoutError:
             self.stats.timed_out += 1
             self._tm_timeouts.inc()
             self.stats.failed += 1
             self._note_backend_failure(current)
-            self._record(backend_id, subscriber, ResourceVector.ZERO, completed=1)
+            self._record(billed, subscriber, ResourceVector.ZERO, completed=1)
             if not head_sent:
                 await self._refuse(client_writer, 504, "Gateway Timeout")
             # else: the head already reached the client, so no error
@@ -520,12 +592,12 @@ class GageProxy(ClientSessionMixin):
         except (HTTPError, ConnectionError, asyncio.IncompleteReadError):
             self.stats.failed += 1
             self._note_backend_failure(current)
-            self._record(backend_id, subscriber, ResourceVector.ZERO, completed=1)
+            self._record(billed, subscriber, ResourceVector.ZERO, completed=1)
             if not head_sent:
                 await self._refuse(client_writer, 502, "Bad Gateway")
         finally:
-            if not released:
-                backend_writer.close()
+            if answer is not None and not released:
+                answer[1].close()
             if client_ok and client_keep_alive:
                 self._resume_client(client_reader, client_writer)
             else:
@@ -565,280 +637,73 @@ class GageProxy(ClientSessionMixin):
         self._tm_retry_budget_exhausted.inc()
         return False
 
-    # -- hedging -------------------------------------------------------------
+    # -- hedging: the transport verbs lent to the hedge manager -------------
 
-    def _hedge_delay(self) -> float:
-        """Seconds to wait for the primary before firing a hedge clone.
+    def _launch(self, race: _Race, backend_id: str) -> None:
+        """Start one copy of a tracked request as a task."""
+        task = asyncio.ensure_future(self._attempt(backend_id, *race.exchange))
+        task.add_done_callback(lambda _task: race.finished.put_nowait(backend_id))
+        race.attempts[backend_id] = task
 
-        Under the adaptive policy the delay tracks the observed p95
-        response latency (so only the slowest ~5% of requests hedge),
-        falling back to the fixed delay until enough samples exist.
+    async def _first_answer(self, race: _Race, subscriber: str) -> str:
+        """The backend whose copy answered first, or whose copy failed last.
+
+        A failed copy with a live sibling settles its own charge (zero
+        usage, one completion) and the race goes on; the first response
+        head resolves the request with the manager, which cancels and
+        refunds the rest.
         """
-        if self.config.hedge_policy == HEDGE_P95:
-            histogram = self._tm_response_latency
-            if histogram.count >= 10:
-                quantile = histogram.quantile(0.95)
-                if quantile > 0:
-                    return quantile
-        return self.config.hedge_delay_s
-
-    async def _fetch_head(
-        self, backend_id: str, request_head: bytes, timeout: float
-    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter, HTTPResponseHead]:
-        """One hedged attempt: acquire, send the head, read the response head.
-
-        Closes its socket on any failure — including cancellation — so a
-        lost attempt never leaks a connection.  A pooled socket that went
-        stale while parked is redialed fresh once, exactly like the
-        unhedged path.
-        """
-        reader, writer, reused = await self._acquire(backend_id)
-        try:
-            while True:
-                try:
-                    writer.write(request_head)
-                    await writer.drain()
-                    response = await asyncio.wait_for(
-                        read_response_head(reader), timeout=timeout
-                    )
-                    return reader, writer, response
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    if not reused:
-                        raise
-                    writer.close()
-                    reader, writer, reused = await self._acquire(
-                        backend_id, fresh=True
-                    )
-        except BaseException:
-            writer.close()
-            raise
-
-    async def _serve_hedged(
-        self,
-        pending: _PendingConnection,
-        backend_id: str,
-        subscriber: str,
-        predicted: ResourceVector,
-    ) -> None:
-        """Serve one dispatched request with tail-latency hedging.
-
-        The primary attempt goes to ``backend_id`` (charged by the
-        scheduler at dispatch).  If no response head arrives within the
-        hedge delay, a clone is charged against — and dialed to — the
-        least-loaded backend not yet holding a copy; the first head to
-        arrive wins and its body is relayed to the client.  Every loser's
-        prediction is refunded (:meth:`RDNAccounting.on_cancel` keeps the
-        credit ledger conserved) and its socket is drained in the
-        background and returned to the pool, never leaked.
-        """
-        client_writer = pending.writer
-        remaining = self._deadline_remaining(pending)
-        if remaining is not None and remaining <= 0:
-            await self._expire(pending, backend_id, subscriber)
-            return
-        response_timeout = self.config.proxy_response_timeout_s
-        if remaining is not None:
-            response_timeout = min(response_timeout, remaining)
-        head = pending.head
-        client_keep_alive = wants_keep_alive(head)
-        head.headers["connection"] = "keep-alive"
-        request_head = render_request_head(head)
-        started = self._now()
-
-        #: backend -> the prediction charged for its copy of the request.
-        charged: Dict[str, ResourceVector] = {backend_id: predicted}
-        tasks: Dict[asyncio.Task, str] = {}
-        primary = asyncio.ensure_future(
-            self._fetch_head(backend_id, request_head, response_timeout)
-        )
-        tasks[primary] = backend_id
-
-        winner_id: Optional[str] = None
-        winner = None
-        #: Attempts whose head arrived in the same wakeup as the winner's.
-        late: List[Tuple[str, Tuple[
-            asyncio.StreamReader, asyncio.StreamWriter, HTTPResponseHead
-        ]]] = []
-        hedge_wait: Optional[float] = self._hedge_delay()
-        while tasks:
-            done, _ = await asyncio.wait(
-                set(tasks), timeout=hedge_wait,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            if not done:
-                # The hedge timer fired with every attempt still pending.
-                clone_id = None
-                if len(charged) - 1 < self.config.hedge_max_clones:
-                    clone_id = self._pick_alternate(set(charged))
-                if clone_id is None:
-                    hedge_wait = None  # nowhere (left) to clone; just wait
-                    continue
-                clone_predicted = self.scheduler.estimator(subscriber).predict()
-                self.accounting.on_dispatch(subscriber, clone_id, clone_predicted)
-                self.node_scheduler.on_dispatch(clone_id, clone_predicted)
-                charged[clone_id] = clone_predicted
-                self.stats.hedges_fired += 1
-                self._tm_hedge_fired.inc()
-                clone = asyncio.ensure_future(
-                    self._fetch_head(clone_id, request_head, response_timeout)
-                )
-                tasks[clone] = clone_id
-                if len(charged) - 1 >= self.config.hedge_max_clones:
-                    hedge_wait = None
+        assert self.hedges is not None
+        while True:
+            backend_id = await race.finished.get()
+            try:
+                race.attempts[backend_id].result()
+            except _ATTEMPT_FAILURES:
+                if self.hedges.filter_requeue(backend_id, [race]):
+                    return backend_id
+                self._note_backend_failure(backend_id)
+                self._record(backend_id, subscriber, ResourceVector.ZERO, completed=1)
                 continue
-            for task in done:
-                attempt_id = tasks.pop(task)
-                try:
-                    result = task.result()
-                except (OSError, HTTPError, ConnectionError,
-                        asyncio.TimeoutError, asyncio.IncompleteReadError):
-                    # A failed attempt settles its own charge: zero usage,
-                    # one completion, exactly like the unhedged path.
-                    self._note_backend_failure(attempt_id)
-                    self._record(
-                        attempt_id, subscriber, ResourceVector.ZERO, completed=1
-                    )
-                    charged.pop(attempt_id, None)
-                    continue
-                if winner_id is None:
-                    winner_id, winner = attempt_id, result
-                else:
-                    late.append((attempt_id, result))
-            if winner_id is not None:
-                break
+            self.hedges.on_completion(race, backend_id)
+            return backend_id
 
-        if winner_id is None or winner is None:
-            self.stats.failed += 1
-            if self.node_scheduler.up_nodes():
-                await self._refuse(client_writer, 502, "Bad Gateway")
-            else:
-                self.stats.shed_no_backend += 1
-                self._tm_shed.inc()
-                self.failures.record(self._now(), REQUEST_SHED, subscriber)
-                await self._refuse(
-                    client_writer,
-                    503,
-                    "Service Unavailable",
-                    retry_after_s=self._retry_after_s(),
-                )
-            return
+    def _pick_clone(
+        self, race: object, predicted: ResourceVector, exclude: FrozenSet[str]
+    ) -> Optional[str]:
+        return None if self._stopping else self._pick_alternate(exclude)
 
-        if winner_id != backend_id:
-            self.stats.hedges_won += 1
-            self._tm_hedge_won.inc()
-        # Cancel the losers: refund each one's prediction now (before any
-        # accounting flush can race) and drain its socket in background.
-        for task, loser_id in list(tasks.items()):
-            self._refund_loser(loser_id, subscriber, charged)
-            reap = asyncio.ensure_future(
-                self._reap_loser(task, loser_id, subscriber)
-            )
-            self._tasks.append(reap)
-        tasks.clear()
-        for loser_id, result in late:
-            self._refund_loser(loser_id, subscriber, charged)
-            reap = asyncio.ensure_future(
-                self._drain_loser(result, loser_id, subscriber)
-            )
-            self._tasks.append(reap)
+    def _dispatch_clone(self, race: object, backend_id: str, subscriber: str) -> None:
+        assert isinstance(race, _Race)
+        self.stats.hedges_fired += 1
+        self._launch(race, backend_id)
 
-        backend_reader, backend_writer, response = winner
-        released = False
-        client_ok = False
-        try:
-            usage_triple = response.usage()
-            backend_keep_alive = wants_keep_alive(response)
-            response.headers["connection"] = (
-                "keep-alive" if client_keep_alive else "close"
-            )
-            response_head = render_response_head(response, drop_usage=True)
-            relayed = await asyncio.wait_for(
-                splice_exactly(
-                    backend_reader,
-                    backend_writer,
-                    client_writer,
-                    response.content_length,
-                    prefix=response_head,
-                ),
-                timeout=response_timeout,
-            )
-            await client_writer.drain()
-            self.stats.completed += 1
-            self._tm_response_latency.observe(self._now() - started)
-            self.stats.bytes_relayed += relayed
-            usage = (
-                ResourceVector(*usage_triple)
-                if usage_triple is not None
-                else ResourceVector(0.0, 0.0, float(relayed))
-            )
-            self._record(winner_id, subscriber, usage, completed=1)
-            self._consecutive_failures[winner_id] = 0
-            if backend_keep_alive and not self._stopping:
-                released = self.pool.put(winner_id, backend_reader, backend_writer)
-            client_ok = True
-        except asyncio.TimeoutError:
-            self.stats.timed_out += 1
-            self._tm_timeouts.inc()
-            self.stats.failed += 1
-            self._note_backend_failure(winner_id)
-            self._record(winner_id, subscriber, ResourceVector.ZERO, completed=1)
-            # The response head already started toward the client; no
-            # error status can follow, just cut the stalled transfer.
-        except (HTTPError, ConnectionError, asyncio.IncompleteReadError):
-            self.stats.failed += 1
-            self._note_backend_failure(winner_id)
-            self._record(winner_id, subscriber, ResourceVector.ZERO, completed=1)
-        finally:
-            if not released:
-                backend_writer.close()
-            if client_ok and client_keep_alive:
-                self._resume_client(pending.reader, client_writer)
-            else:
-                client_writer.close()
-
-    def _refund_loser(
-        self, loser_id: str, subscriber: str, charged: Dict[str, ResourceVector]
-    ) -> None:
-        """Refund a hedge loser's dispatch-time prediction."""
-        loser_predicted = charged.pop(loser_id, None)
-        if loser_predicted is not None and self.accounting.on_cancel(
-            subscriber, loser_id, loser_predicted
-        ):
-            self.node_scheduler.on_feedback(loser_id, loser_predicted)
-            self._tm_hedge_refunded.inc(
-                loser_predicted.in_generic_requests(self.config.generic_request)
-            )
+    def _cancel_copy(self, race: object, backend_id: str, subscriber: str) -> bool:
+        """A loser is cancelled by draining whatever it answers, later."""
+        assert isinstance(race, _Race)
         self.stats.hedges_cancelled += 1
-        self._tm_hedge_cancelled.inc()
-
-    async def _reap_loser(
-        self, task: "asyncio.Task", loser_id: str, subscriber: str
-    ) -> None:
-        """Wait out a cancelled hedge attempt, then drain and recycle it."""
-        try:
-            result = await task
-        except (OSError, HTTPError, ConnectionError,
-                asyncio.TimeoutError, asyncio.IncompleteReadError):
-            # A loser that never answered is a real backend signal —
-            # count it so a hung backend still gets ejected.
-            self._note_backend_failure(loser_id)
-            return  # _fetch_head already closed its socket
-        await self._drain_loser(result, loser_id, subscriber)
+        drain = asyncio.ensure_future(
+            self._drain_loser(race.attempts[backend_id], backend_id, subscriber)
+        )
+        self._tasks.append(drain)
+        return True
 
     async def _drain_loser(
-        self,
-        result: Tuple[asyncio.StreamReader, asyncio.StreamWriter, HTTPResponseHead],
-        loser_id: str,
-        subscriber: str,
+        self, attempt: "asyncio.Future[_Answer]", loser_id: str, subscriber: str
     ) -> None:
-        """Consume a loser's response body; pool the socket, bill the usage.
+        """Wait out a cancelled copy, consume its body, pool its socket.
 
         The prediction was refunded at resolution; the *measured* usage
         is billed with ``completed=0`` so the subscriber still pays for
         the work the backend actually did, without disturbing the
         count-based prediction back-out.
         """
-        reader, writer, response = result
+        try:
+            reader, writer, response = await attempt
+        except _ATTEMPT_FAILURES:
+            # A loser that never answered is a real backend signal —
+            # count it so a hung backend still gets ejected.
+            self._note_backend_failure(loser_id)
+            return  # _attempt already closed its socket
         try:
             await asyncio.wait_for(
                 self._discard_body(reader, response.content_length),
@@ -870,7 +735,7 @@ class GageProxy(ClientSessionMixin):
 
     # -- backend health ----------------------------------------------------------
 
-    def _pick_alternate(self, tried: Set[str]) -> Optional[str]:
+    def _pick_alternate(self, tried: AbstractSet[str]) -> Optional[str]:
         """The least-loaded healthy backend outside ``tried``, if any."""
         candidates = [
             status

@@ -10,8 +10,6 @@ of SimPy, purpose-built for the Gage reproduction.  The engine provides:
 - :class:`~repro.sim.process.Process` — generator-based simulated processes
   with interrupt support.
 - :class:`~repro.sim.resources.Resource` — the contention primitive.
-- :class:`~repro.sim.rng.RandomStreams` — named, independently seeded
-  random streams for reproducible experiments.
 
 Determinism: events scheduled for the same simulated time are processed in
 (priority, insertion-order) order, so two runs with the same seeds produce
@@ -23,7 +21,6 @@ from repro.sim.errors import Interrupt, SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Resource
-from repro.sim.rng import RandomStreams
 
 __all__ = [
     "AllOf",
@@ -33,7 +30,6 @@ __all__ = [
     "Interrupt",
     "NORMAL_PRIORITY",
     "Process",
-    "RandomStreams",
     "Resource",
     "SimulationError",
     "StopSimulation",

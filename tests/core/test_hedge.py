@@ -1,9 +1,12 @@
 """Unit tests for the hedging layer and its credit-conservation math.
 
-The :class:`HedgeManager` is exercised against plain-lambda hooks (no
-RDN), and :class:`RDNAccounting` against randomized operation sequences:
-whatever mix of dispatches, completions, cancellations, and node deaths
-occurs, the conservation ledger must balance exactly —
+The :class:`HedgeManager` is exercised against plain-lambda transport
+hooks (no RDN, no proxy) and a real :class:`RDNAccounting` and
+:class:`NodeScheduler`, so its clone charges and loser refunds are
+checked on the ledgers themselves.  :class:`RDNAccounting` is also
+driven by randomized operation sequences: whatever mix of dispatches,
+completions, cancellations, and node deaths occurs, the conservation
+ledger must balance exactly —
 
     Σcharged == Σbacked_out + Σrefunded + Σforgotten + Σpending
 """
@@ -22,42 +25,33 @@ from repro.resources import ResourceVector
 from repro.sim import Environment
 
 PREDICTED = ResourceVector(cpu_s=0.010, disk_s=0.010, net_bytes=2000.0)
+NODES = ("rpn1", "rpn2", "rpn3", "rpn4", "rpn5")
 
 
 class HookLog:
-    """Recording hooks whose behavior the test scripts per-call."""
+    """Recording transport hooks whose behavior the test scripts per-call."""
 
-    def __init__(self, clone_target="rpn2", cancel_result=True, refund_result=True):
+    def __init__(self, clone_target="rpn2", cancel_result=True):
         self.calls = []
         self.clone_target = clone_target
         self.cancel_result = cancel_result
-        self.refund_result = refund_result
 
     def hooks(self) -> HedgeHooks:
         return HedgeHooks(
             pick_clone=self._pick_clone,
-            charge=lambda sub, rpn, pred: self.calls.append(("charge", sub, rpn)),
-            refund=self._refund,
             dispatch_clone=lambda item, rpn, sub: self.calls.append(
                 ("dispatch", rpn, sub)
             ),
-            cancel_service=self._cancel,
-            discard_in_flight=lambda item, rpn, sub: self.calls.append(
-                ("discard", rpn, sub)
-            ),
+            cancel=self._cancel,
         )
 
     def _pick_clone(self, item, predicted, exclude):
         self.calls.append(("pick", frozenset(exclude)))
         return None if self.clone_target in exclude else self.clone_target
 
-    def _cancel(self, item, rpn):
-        self.calls.append(("cancel", rpn))
+    def _cancel(self, item, rpn, sub):
+        self.calls.append(("cancel", rpn, sub))
         return self.cancel_result
-
-    def _refund(self, sub, rpn, predicted):
-        self.calls.append(("refund", sub, rpn))
-        return self.refund_result
 
     def named(self, kind):
         return [c for c in self.calls if c[0] == kind]
@@ -66,7 +60,34 @@ class HookLog:
 def make_manager(env, log, **config_kwargs):
     config_kwargs.setdefault("hedge_policy", "fixed")
     config = GageConfig(**config_kwargs)
-    return HedgeManager(env, config, log.hooks())
+    accounting = RDNAccounting()
+    accounting.register(Subscriber("site1", 100))
+    nodes = NodeScheduler(window_s=10.0)
+    for rpn in NODES:
+        nodes.add_node(rpn, ResourceVector(cpu_s=1.0, disk_s=1.0, net_bytes=1e9))
+    return HedgeManager(
+        lambda: env.now, env.call_later, config, log.hooks(), accounting, nodes
+    )
+
+
+def dispatch(manager, item, rpn="rpn1"):
+    """A primary dispatch as the scheduler makes it: charged, then tracked."""
+    manager.accounting.on_dispatch("site1", rpn, PREDICTED)
+    manager.node_scheduler.on_dispatch(rpn, PREDICTED)
+    manager.on_primary_dispatch(item, rpn, "site1", PREDICTED)
+
+
+def pending(manager, rpn):
+    return list(manager.accounting.account("site1").pending.get(rpn, ()))
+
+
+def charged_clones(manager):
+    """Dispatches the manager itself charged (every node but rpn1)."""
+    return sum(manager.node_scheduler.get(rpn).dispatched for rpn in NODES[1:])
+
+
+def assert_conserved(manager):
+    assert manager.accounting.conservation_delta() == ResourceVector.ZERO
 
 
 # -- delay policy -------------------------------------------------------
@@ -92,6 +113,16 @@ def test_p95_policy_falls_back_until_enough_samples():
     )
 
 
+def test_p95_samples_stay_with_their_manager():
+    env = Environment()
+    first = make_manager(env, HookLog(), hedge_policy="p95", hedge_delay_s=0.05)
+    second = make_manager(env, HookLog(), hedge_policy="p95", hedge_delay_s=0.05)
+    for _ in range(20):
+        first.latency.observe(2.0)
+    assert first.hedge_delay() > 1.0
+    assert second.hedge_delay() == pytest.approx(0.05)
+
+
 # -- clone lifecycle ----------------------------------------------------
 
 
@@ -100,13 +131,17 @@ def test_clone_fires_after_delay_and_excludes_primary():
     log = HookLog(clone_target="rpn2")
     manager = make_manager(env, log, hedge_delay_s=0.050)
     item = object()
-    manager.on_primary_dispatch(item, "rpn1", "site1", PREDICTED)
+    dispatch(manager, item)
     env.run(until=env.timeout(0.049))
     assert log.named("pick") == []
+    assert charged_clones(manager) == 0
     env.run(until=env.timeout(0.002))
     assert log.named("pick") == [("pick", frozenset({"rpn1"}))]
-    assert log.named("charge") == [("charge", "site1", "rpn2")]
     assert log.named("dispatch") == [("dispatch", "rpn2", "site1")]
+    # The clone is charged the primary's prediction, on both ledgers.
+    assert pending(manager, "rpn2") == [PREDICTED]
+    assert manager.node_scheduler.get("rpn2").outstanding == PREDICTED
+    assert_conserved(manager)
 
 
 def test_completion_before_delay_suppresses_clone():
@@ -114,26 +149,33 @@ def test_completion_before_delay_suppresses_clone():
     log = HookLog()
     manager = make_manager(env, log, hedge_delay_s=0.050)
     item = object()
-    manager.on_primary_dispatch(item, "rpn1", "site1", PREDICTED)
+    dispatch(manager, item)
     env.run(until=env.timeout(0.010))
     assert manager.on_completion(item, "rpn1") is True
     env.run(until=env.timeout(0.100))
-    assert log.named("charge") == []
+    assert charged_clones(manager) == 0
     assert log.named("dispatch") == []
+    assert log.named("cancel") == []
+    assert pending(manager, "rpn1") == [PREDICTED]  # the winner keeps its charge
 
 
 def test_winner_cancels_refunds_and_discards_loser():
     env = Environment()
-    log = HookLog(clone_target="rpn2", cancel_result=True, refund_result=True)
+    log = HookLog(clone_target="rpn2", cancel_result=True)
     manager = make_manager(env, log, hedge_delay_s=0.050)
     item = object()
-    manager.on_primary_dispatch(item, "rpn1", "site1", PREDICTED)
+    dispatch(manager, item)
     env.run(until=env.timeout(0.060))  # the clone has fired
-    # The clone wins; the primary becomes the loser and is torn down.
+    # The clone wins; the primary becomes the loser and is torn down:
+    # the transport's cancel aborts and discards it, the manager refunds.
     assert manager.on_completion(item, "rpn2") is True
-    assert log.named("cancel") == [("cancel", "rpn1")]
-    assert log.named("refund") == [("refund", "site1", "rpn1")]
-    assert log.named("discard") == [("discard", "rpn1", "site1")]
+    assert log.named("cancel") == [("cancel", "rpn1", "site1")]
+    assert pending(manager, "rpn1") == []
+    assert manager.node_scheduler.get("rpn1").outstanding == ResourceVector.ZERO
+    assert manager._tm_refunded_grps.value > 0
+    # The winner's charge stays, to be backed out by its completion.
+    assert pending(manager, "rpn2") == [PREDICTED]
+    assert_conserved(manager)
     # Fully resolved: nothing tracked, nothing further fires.
     assert manager._entries == {}
 
@@ -143,15 +185,33 @@ def test_uncancellable_loser_completion_is_suppressed():
     log = HookLog(clone_target="rpn2", cancel_result=False)
     manager = make_manager(env, log, hedge_delay_s=0.050)
     item = object()
-    manager.on_primary_dispatch(item, "rpn1", "site1", PREDICTED)
+    dispatch(manager, item)
     env.run(until=env.timeout(0.060))
     assert manager.on_completion(item, "rpn2") is True
-    # Cancellation missed: no refund, no discard; the loser will finish
-    # on its own and its completion must not count a second time.
-    assert log.named("refund") == []
-    assert log.named("discard") == []
+    # Cancellation missed: no refund; the loser will finish on its own
+    # and its completion must not count a second time.
+    assert pending(manager, "rpn1") == [PREDICTED]
+    assert manager._tm_refunded_grps.value == 0
     assert manager.on_completion(item, "rpn1") is False
     assert manager._entries == {}
+
+
+def test_loser_on_forgotten_node_is_not_refunded_twice():
+    env = Environment()
+    log = HookLog(clone_target="rpn2")
+    manager = make_manager(env, log, hedge_delay_s=0.050)
+    item = object()
+    dispatch(manager, item)
+    env.run(until=env.timeout(0.060))
+    # rpn1's predictions were already restored wholesale (node death).
+    manager.accounting.forget_rpn("rpn1")
+    outstanding = manager.node_scheduler.get("rpn1").outstanding
+    assert manager.on_completion(item, "rpn2") is True
+    assert log.named("cancel") == [("cancel", "rpn1", "site1")]
+    assert manager._tm_cancelled.value == 1
+    assert manager._tm_refunded_grps.value == 0
+    assert manager.node_scheduler.get("rpn1").outstanding == outstanding
+    assert_conserved(manager)
 
 
 def test_untracked_completion_counts():
@@ -165,10 +225,10 @@ def test_no_alternate_leaves_request_unhedged():
     log = HookLog(clone_target="rpn1")  # the only node is the primary
     manager = make_manager(env, log, hedge_delay_s=0.050)
     item = object()
-    manager.on_primary_dispatch(item, "rpn1", "site1", PREDICTED)
+    dispatch(manager, item)
     env.run(until=env.timeout(0.060))
     assert log.named("pick") == [("pick", frozenset({"rpn1"}))]
-    assert log.named("charge") == []
+    assert charged_clones(manager) == 0
     assert manager.on_completion(item, "rpn1") is True
 
 
@@ -182,9 +242,9 @@ def test_max_clones_bounds_extra_copies():
     targets = iter(["rpn2", "rpn3", "rpn4", "rpn5"])
     manager.hooks.pick_clone = lambda item, pred, excl: next(targets)
     item = object()
-    manager.on_primary_dispatch(item, "rpn1", "site1", PREDICTED)
+    dispatch(manager, item)
     env.run(until=env.timeout(0.200))
-    assert len(log.named("charge")) == 1
+    assert charged_clones(manager) == 1
 
 
 def test_filter_requeue_node_death_triage():
@@ -194,8 +254,8 @@ def test_filter_requeue_node_death_triage():
     hedged = object()
     sole = object()
     stranger = object()
-    manager.on_primary_dispatch(hedged, "rpn1", "site1", PREDICTED)
-    manager.on_primary_dispatch(sole, "rpn1", "site1", PREDICTED)
+    dispatch(manager, hedged)
+    dispatch(manager, sole)
     env.run(until=env.timeout(0.060))  # both earn a clone on rpn2
     # rpn1 dies: both lose their rpn1 copy, but each still has a live
     # sibling on rpn2 — neither deserves a requeue.  The untracked

@@ -139,6 +139,87 @@ def test_fast_primary_never_hedges():
     assert stats.hedges_cancelled == 0
 
 
+@pytest.mark.parametrize("policy", ["fixed", "p95"])
+def test_hedged_connect_failure_takes_the_retry(policy):
+    """A tracked request whose only copy cannot connect takes the same
+    one retry as an unhedged one, instead of ending in a 502."""
+
+    async def main():
+        backend = BackendServer(SITES, time_scale=0.0)
+        good_port = await backend.start()
+        # "bad" registers first, so the idle least-load tie sends the
+        # primary to the closed port.
+        proxy = GageProxy(
+            [Subscriber("a.com", 1000)],
+            {"bad": ("127.0.0.1", free_port()), "good": ("127.0.0.1", good_port)},
+            config=hedge_config(
+                hedge_policy=policy,
+                proxy_connect_timeout_s=0.2,
+                proxy_retry_backoff_s=0.01,
+            ),
+        )
+        proxy_port = await proxy.start()
+        head, body = await _get(proxy_port, "a.com", timeout=3.0)
+        stats = proxy.stats
+        assert_conserved(proxy)
+        await proxy.stop()
+        await backend.stop()
+        return head, body, stats
+
+    head, body, stats = asyncio.run(main())
+    assert head.status == 200
+    assert len(body) == 500
+    assert stats.retried == 1
+    assert stats.completed == 1
+    assert stats.failed == 0
+
+
+def test_adaptive_delay_is_per_proxy():
+    """Two p95 proxies in one process: slow answers seen by one must not
+    stretch the other's hedge delay."""
+
+    async def main():
+        slow = BackendServer(SITES, time_scale=0.0, extra_delay_fn=lambda h, p: 0.3)
+        slow_port = await slow.start()
+        busy = GageProxy(
+            [Subscriber("a.com", 1000)],
+            {"slow": ("127.0.0.1", slow_port)},
+            config=hedge_config(hedge_policy="p95"),
+        )
+        busy_port = await busy.start()
+        # Twelve 0.3 s answers: enough samples for busy's adaptive p95.
+        await asyncio.gather(
+            *[_get(busy_port, "a.com", timeout=3.0) for _ in range(12)]
+        )
+        assert busy.hedges.hedge_delay() > 0.25
+
+        lagging = BackendServer(SITES, time_scale=0.0, extra_delay_fn=lambda h, p: 0.2)
+        fast = BackendServer(SITES, time_scale=0.0)
+        lagging_port = await lagging.start()
+        fast_port = await fast.start()
+        fresh = GageProxy(
+            [Subscriber("a.com", 1000)],
+            {"lagging": ("127.0.0.1", lagging_port), "fast": ("127.0.0.1", fast_port)},
+            config=hedge_config(hedge_policy="p95"),
+        )
+        fresh_port = await fresh.start()
+        delay = fresh.hedges.hedge_delay()
+        # fresh has no samples of its own: it hedges the 0.2 s primary
+        # after its configured 0.05 s, not after busy's 0.3 s p95.
+        head, _body = await _get(fresh_port, "a.com", timeout=3.0)
+        await asyncio.sleep(0.3)
+        stats = fresh.stats
+        for server in (busy, fresh, slow, lagging, fast):
+            await server.stop()
+        return delay, head, stats
+
+    delay, head, stats = asyncio.run(main())
+    assert delay == pytest.approx(0.05)
+    assert head.status == 200
+    assert stats.hedges_fired == 1
+    assert stats.hedges_won == 1
+
+
 def test_retry_budget_exhaustion_blocks_retry():
     """With a zero retry budget the connect-failure retry is suppressed:
     the request fails fast and the exhaustion counter records why."""

@@ -3,7 +3,7 @@
 import asyncio
 
 from repro.core import GageConfig, Subscriber
-from repro.proxy import BackendServer, GageProxy
+from repro.proxy import BackendServer, GageProxy, client_session, frontend
 from repro.proxy.http import read_response_head
 
 
@@ -56,6 +56,41 @@ def test_client_connection_carries_many_requests():
     assert stats.accepted == 1  # one TCP connection for all five requests
     assert stats.keepalive_requests == 4
     assert stats.completed == 5
+
+
+def test_unhedged_keepalive_spawns_two_proxy_tasks_per_request():
+    """Hedging off, 50 requests on one client connection: each costs one
+    ``_serve`` task and one keep-alive wait, plus one for the accept.
+    Only tasks running the proxy's own code are counted (``wait_for``
+    wraps its awaitable in a task on some Python versions, not others)."""
+    proxy_files = {frontend.__file__, client_session.__file__}
+
+    async def main():
+        backend, proxy, port = await _rig()
+        spawned = []
+
+        def factory(loop, coro, **kwargs):
+            code = getattr(coro, "cr_code", None)
+            if code is not None and code.co_filename in proxy_files:
+                spawned.append(code.co_name)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        asyncio.get_running_loop().set_task_factory(factory)
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        for _ in range(50):
+            head, _body = await _request(reader, writer, "a.com")
+            assert head.status == 200
+        asyncio.get_running_loop().set_task_factory(None)
+        writer.close()
+        stats = proxy.stats
+        await proxy.stop()
+        await backend.stop()
+        return spawned, stats
+
+    spawned, stats = asyncio.run(main())
+    assert stats.completed == 50
+    assert sorted(set(spawned)) == ["_handle", "_keepalive_loop", "_serve"]
+    assert len(spawned) == 101
 
 
 def test_http10_client_connection_is_closed_after_response():
