@@ -10,7 +10,7 @@ requests are refused, not how many are served).
 """
 
 from repro.core import GageCluster, Subscriber
-from repro.harness import Sweep
+from repro.harness import ParallelSweep
 from repro.sim import Environment
 from repro.workload import SyntheticWorkload
 
@@ -40,7 +40,7 @@ def run(delay_target_s):
 
 def test_delay_target_sweep(benchmark):
     sweep = benchmark.pedantic(
-        lambda: Sweep(run, delay_target_s=[0.2, 0.5, 1.0, None]).run(),
+        lambda: ParallelSweep(run, processes=0, delay_target_s=[0.2, 0.5, 1.0, None]).run(),
         rounds=1,
         iterations=1,
     )

@@ -81,11 +81,6 @@ class Disk:
             return 0.0
         return min(1.0, self.busy_s / elapsed)
 
-    def reset_utilization(self) -> None:
-        """Restart the utilization window at the current instant."""
-        self.busy_s = 0.0
-        self._started_at = self.env.now
-
     @property
     def queue_length(self) -> int:
         """I/Os waiting for the channel (excludes the one in service)."""

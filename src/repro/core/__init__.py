@@ -41,14 +41,7 @@ from repro.core.rdn import PendingRequest, PrimaryRDN, RDNOpCounters
 from repro.core.rpn import LocalServiceManager, RPNAccountingAgent
 from repro.core.scheduler import RequestScheduler, ScheduleDecision
 from repro.core.secondary import SecondaryRDN
-from repro.core.shard import (
-    CreditGrant,
-    GlobalAllocator,
-    SchedulerShard,
-    ShardCreditReport,
-    ShardedScheduler,
-    ShardMap,
-)
+from repro.core.shard import CreditGrant, GlobalAllocator, ShardCreditReport
 from repro.core.simulation import GageCluster, default_rpn_capacity
 from repro.core.subscriber import Subscriber, SubscriberTable
 
@@ -89,13 +82,10 @@ __all__ = [
     "RPNUsageReport",
     "ResourceVector",
     "ScheduleDecision",
-    "SchedulerShard",
     "SecondaryRDN",
     "ServiceHandle",
     "ServiceReport",
     "ShardCreditReport",
-    "ShardMap",
-    "ShardedScheduler",
     "Subscriber",
     "SubscriberAccount",
     "SubscriberQueues",

@@ -80,10 +80,6 @@ class NodeView:
         """Dominant-component committed fraction of capacity."""
         return self.committed.dominant_fraction_of(self.capacity)
 
-    def utilization_with(self, demand: ResourceVector) -> float:
-        """Dominant utilization if ``demand`` were added."""
-        return (self.committed + demand).dominant_fraction_of(self.capacity)
-
 
 #: Scores one candidate node for one demand: higher wins; ``None``
 #: rejects the candidate outright (admission control).
@@ -136,9 +132,6 @@ class _Node:
     _backup_total: ResourceVector = field(
         default_factory=lambda: ResourceVector.ZERO
     )
-
-    def backup_reserved(self) -> ResourceVector:
-        return self._backup_total
 
     def add_backup(self, primary: str, demand: ResourceVector) -> None:
         self.backup_by_primary[primary] = (

@@ -1,80 +1,36 @@
-"""A sharded control plane: partitioned schedulers under a global allocator.
+"""Cross-shard credit redistribution: the hierarchy's top level.
 
 The paper's RDN runs the credit-based WRR scheduler as a single instance
-(§3.3-3.4).  This module partitions that control plane so it can run as
-N independent instances — simulation shards or proxy worker processes —
-while keeping the *global* per-subscriber GRPS guarantee:
+(§3.3-3.4).  The multi-worker proxy
+(:class:`~repro.proxy.workers.WorkerSupervisor`) runs N of them, one
+plain :class:`~repro.core.scheduler.RequestScheduler` per worker
+process, and keeps the *global* per-subscriber GRPS guarantee with the
+pieces here:
 
-- :class:`ShardMap` — stable subscriber→shard hashing, so any component
-  can compute a subscriber's home shard without coordination;
+- :class:`ShardCreditReport` — one shard's per-cycle offer (credit its
+  idle subscribers hoard) and backlog, built from
+  :meth:`RequestScheduler.credit_report`;
 - :class:`GlobalAllocator` — the paper's spare-capacity redistribution
   run *across shards* each accounting cycle: unused per-shard credits
   flow back and are re-granted in GRPS proportion — the same WRR
   invariant, one level up.  Credit is conserved: every rebalance's
   grants sum exactly to its reclaims (plus any carry reclaimed from a
   dead shard);
-- :class:`SchedulerShard` / :class:`ShardedScheduler` — one partition's
-  full queue/accounting/scheduler stack, and the facade that runs K of
-  them with the allocator in the loop.
+- :class:`CreditGrant` — the allocator's answer to one shard, applied
+  with :meth:`RequestScheduler.apply_credit_grant`.
 
-With one shard the allocator is a no-op by construction: cross-shard
-redistribution only moves credit *between* shards, and the in-shard
-spare pass already implements the paper's single-RDN spare pool.  That
-is what makes the ``workers=1`` path decision-identical to the legacy
-single-instance scheduler (pinned by a fixed-seed test and the golden
-digest).
+With one worker the supervisor never rebalances: cross-shard
+redistribution only moves credit *between* shards, and the lone
+scheduler's spare pass already implements the paper's single-RDN spare
+pool.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
-from repro.core.accounting import RDNAccounting
-from repro.core.config import GageConfig
-from repro.core.feedback import AccountingMessage
 from repro.core.grps import ResourceVector
-from repro.core.node_scheduler import NodeScheduler
-from repro.core.queues import SubscriberQueues
-from repro.core.scheduler import RequestScheduler, ScheduleDecision
-from repro.core.subscriber import Subscriber
-
-#: Invoked for every dispatched request as (request, rpn_id, subscriber,
-#: predicted) — the dispatch-time prediction rides along so downstream
-#: layers (hedging, retries) can refund it on cancellation.
-DispatchFn = Callable[[object, str, str, ResourceVector], None]
-
-
-class ShardMap:
-    """Stable subscriber→shard assignment by cryptographic hash.
-
-    The assignment depends only on the subscriber name and the shard
-    count, never on registration order or process identity, so the RDN,
-    the proxy supervisor, and every worker agree on it without a
-    directory service.
-    """
-
-    def __init__(self, num_shards: int) -> None:
-        if num_shards < 1:
-            raise ValueError("need at least one shard")
-        self.num_shards = num_shards
-
-    def shard_of(self, subscriber: str) -> int:
-        """The home shard of one subscriber (0 .. num_shards-1)."""
-        digest = hashlib.sha256(subscriber.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.num_shards
-
-    def assignments(self, names: Iterable[str]) -> Dict[str, int]:
-        """name → shard for every given subscriber."""
-        return {name: self.shard_of(name) for name in names}
-
-    def partition(self, names: Iterable[str]) -> List[List[str]]:
-        """The given names grouped by shard, input order preserved."""
-        groups: List[List[str]] = [[] for _ in range(self.num_shards)]
-        for name in names:
-            groups[self.shard_of(name)].append(name)
-        return groups
 
 
 @dataclass(frozen=True)
@@ -281,209 +237,3 @@ class GlobalAllocator:
             )
             for shard_id in grants
         }
-
-
-class SchedulerShard:
-    """One partition's full control-plane stack.
-
-    Owns the :class:`SubscriberQueues`, :class:`RDNAccounting`, and
-    :class:`RequestScheduler` for one subset of the subscribers, plus
-    its (capacity-sliced) :class:`NodeScheduler` view of the cluster.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        subscribers: List[Subscriber],
-        config: GageConfig,
-        node_scheduler: NodeScheduler,
-        dispatch_fn: DispatchFn,
-    ) -> None:
-        self.shard_id = shard_id
-        self.config = config
-        # One SubscriberTable per shard spans its queues and accounting,
-        # so both resolve a name to the same dense interned id.
-        self.queues = SubscriberQueues()
-        self.accounting = RDNAccounting(table=self.queues.table)
-        self.node_scheduler = node_scheduler
-        self.scheduler = RequestScheduler(
-            config,
-            self.queues,
-            self.accounting,
-            node_scheduler,
-            dispatch_fn=dispatch_fn,
-        )
-        for subscriber in subscribers:
-            self.queues.register(subscriber)
-            self.accounting.register(subscriber)
-
-    # -- subscriber churn ----------------------------------------------------
-
-    def add_subscriber(self, subscriber: Subscriber) -> None:
-        """Admit one subscriber into this shard mid-run (churn)."""
-        self.queues.register(subscriber)
-        self.accounting.register(subscriber)
-
-    def remove_subscriber(self, name: str) -> bool:
-        """Remove one subscriber from this shard mid-run (churn).
-
-        Pending requests are dropped; outstanding predictions fold into
-        the accounting's ``total_forgotten`` so the conservation
-        invariant (Σ charged == Σ backed out + refunded + forgotten +
-        pending) survives the departure.
-        """
-        if name not in self.queues:
-            return False
-        self.accounting.unregister(name)
-        self.queues.unregister(name)
-        return True
-
-    def offer(self, name: str, request: object) -> bool:
-        """Enqueue one classified request (False = dropped/unknown)."""
-        queue = self.queues.get(name)
-        if queue is None:
-            return False
-        return queue.offer(request)
-
-    def run_cycle(self) -> List[ScheduleDecision]:
-        """One WRR scheduling cycle over this shard's queues."""
-        return self.scheduler.run_cycle()
-
-    def apply_feedback(self, message: AccountingMessage) -> None:
-        """Apply one accounting message (already filtered to this shard)."""
-        self.scheduler.apply_feedback(message)
-
-    # -- hierarchical-credit hooks ------------------------------------------
-
-    def credit_report(self) -> ShardCreditReport:
-        """This shard's offer to the global allocator."""
-        unused, backlog = self.scheduler.credit_report()
-        return ShardCreditReport(self.shard_id, unused=unused, backlog=backlog)
-
-    def apply_grant(self, grant: CreditGrant) -> None:
-        """Apply one allocator answer as atomic balance adjustments."""
-        self.scheduler.apply_credit_grant(grant.net())
-
-
-class ShardedScheduler:
-    """K partitioned control-plane instances behind one facade.
-
-    Subscribers are hash-partitioned by :class:`ShardMap`; each shard's
-    :class:`NodeScheduler` sees every node at ``1/K`` of its capacity so
-    the shards' combined view equals the whole cluster.  Each accounting
-    cycle, :meth:`run_accounting_cycle` routes the shards' credit
-    reports through the :class:`GlobalAllocator` and applies the grants.
-    """
-
-    def __init__(
-        self,
-        subscribers: List[Subscriber],
-        node_capacities: Mapping[str, ResourceVector],
-        config: Optional[GageConfig] = None,
-        num_shards: int = 1,
-        dispatch_fn: Optional[DispatchFn] = None,
-    ) -> None:
-        self.config = config if config is not None else GageConfig()
-        self.shard_map = ShardMap(num_shards)
-        self.allocator = GlobalAllocator(
-            {subscriber.name: subscriber.reservation_grps for subscriber in subscribers}
-        )
-        self._dispatch_fn: DispatchFn = dispatch_fn if dispatch_fn is not None else (
-            lambda request, rpn_id, name, predicted: None
-        )
-        by_name = {subscriber.name: subscriber for subscriber in subscribers}
-        groups = self.shard_map.partition(list(by_name))
-        self.shards: List[SchedulerShard] = []
-        fraction = 1.0 / num_shards
-        window_s = self.config.dispatch_window_s
-        if window_s is None:  # GageConfig post-init always sets it
-            window_s = 0.25
-        for shard_id in range(num_shards):
-            node_scheduler = NodeScheduler(
-                policy=self.config.node_policy, window_s=window_s
-            )
-            for rpn_id, capacity in node_capacities.items():
-                node_scheduler.add_node(rpn_id, capacity.scaled(fraction))
-            self.shards.append(
-                SchedulerShard(
-                    shard_id,
-                    [by_name[name] for name in groups[shard_id]],
-                    self.config,
-                    node_scheduler,
-                    self._dispatch_fn,
-                )
-            )
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    def shard_for(self, name: str) -> SchedulerShard:
-        """The shard that owns one subscriber."""
-        return self.shards[self.shard_map.shard_of(name)]
-
-    # -- subscriber churn ----------------------------------------------------
-
-    def add_subscriber(self, subscriber: Subscriber) -> SchedulerShard:
-        """Admit one subscriber mid-run; returns its home shard."""
-        shard = self.shard_for(subscriber.name)
-        shard.add_subscriber(subscriber)
-        self.allocator.set_reservation(
-            subscriber.name, subscriber.reservation_grps
-        )
-        return shard
-
-    def remove_subscriber(self, name: str) -> bool:
-        """Remove one subscriber mid-run (requests dropped, id reused)."""
-        removed = self.shard_for(name).remove_subscriber(name)
-        if removed:
-            self.allocator.remove_reservation(name)
-        return removed
-
-    def offer(self, name: str, request: object) -> bool:
-        """Route one request to its home shard's queue."""
-        return self.shard_for(name).offer(name, request)
-
-    def run_cycle(self) -> List[ScheduleDecision]:
-        """One scheduling cycle across every shard, in shard order."""
-        decisions: List[ScheduleDecision] = []
-        for shard in self.shards:
-            decisions.extend(shard.run_cycle())
-        return decisions
-
-    def apply_feedback(self, message: AccountingMessage) -> None:
-        """Split one RPN accounting message across the owning shards."""
-        if self.num_shards == 1:
-            self.shards[0].apply_feedback(message)
-            return
-        per_shard: Dict[int, Dict[str, object]] = {}
-        for name, report in message.per_subscriber.items():
-            per_shard.setdefault(self.shard_map.shard_of(name), {})[name] = report
-        for shard_id, reports in per_shard.items():
-            self.shards[shard_id].apply_feedback(
-                AccountingMessage(
-                    rpn_id=message.rpn_id,
-                    cycle_start_s=message.cycle_start_s,
-                    cycle_end_s=message.cycle_end_s,
-                    total_usage=message.total_usage,
-                    per_subscriber=dict(reports),  # type: ignore[arg-type]
-                )
-            )
-
-    def run_accounting_cycle(self) -> Dict[int, CreditGrant]:
-        """One cross-shard credit redistribution round.
-
-        A no-op with one shard: there is nothing to move *between*
-        shards, and the in-shard spare pass already implements the
-        paper's single-RDN spare pool — which is exactly what keeps the
-        1-shard path decision-identical to the legacy scheduler.
-        """
-        if self.num_shards == 1:
-            return {}
-        reports = [shard.credit_report() for shard in self.shards]
-        answers = self.allocator.rebalance(reports)
-        for shard in self.shards:
-            grant = answers.get(shard.shard_id)
-            if grant is not None:
-                shard.apply_grant(grant)
-        return answers

@@ -9,8 +9,9 @@ makes those timings first-class and reproducible:
 - :class:`FaultAction` — one timed fault (crash / restart / hang /
   resume / slow / partition / heal) against one named target;
 - :class:`FaultSchedule` — a validated, time-ordered plan of actions,
-  composable and buildable from seeded randomness
-  (:meth:`FaultSchedule.random_plan` with a seeded ``random.Random``);
+  built from the common shapes (:meth:`FaultSchedule.crash_restart`,
+  ``hang_resume``, ``degrade``, ``partition_heal``) and merged with
+  :meth:`FaultSchedule.extend`;
 - :class:`FaultInjector` — arms a schedule against a cluster on the
   simulator clock and records what actually fired.
 

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 #: A node process dies: it services nothing and reports nothing.
 CRASH = "crash"
@@ -141,38 +140,3 @@ class FaultSchedule:
                 FaultAction(at_s + for_s, HEAL, target),
             ]
         )
-
-    @classmethod
-    def random_plan(
-        cls,
-        rng: random.Random,
-        targets: Sequence[str],
-        duration_s: float,
-        outages: int = 3,
-        mean_outage_s: float = 2.0,
-    ) -> "FaultSchedule":
-        """A seeded random crash/restart plan over ``targets``.
-
-        The plan is a pure function of ``rng``'s state: pass a
-        ``random.Random`` seeded from the experiment seed, used for
-        nothing else, and the whole chaos run is reproducible from that
-        seed.  Outages never overlap on
-        the same target: each target's next crash is drawn after its
-        previous restart.
-        """
-        if not targets:
-            raise ValueError("need at least one fault target")
-        if duration_s <= 0:
-            raise ValueError("plan duration must be positive")
-        schedule = cls()
-        busy_until = {target: 0.0 for target in targets}
-        for _ in range(outages):
-            target = rng.choice(list(targets))
-            start = busy_until[target] + rng.uniform(0.0, duration_s / max(1, outages))
-            down = rng.expovariate(1.0 / mean_outage_s)
-            down = max(0.1, min(down, duration_s / 2))
-            if start + down >= duration_s:
-                continue
-            schedule.extend(cls.crash_restart(target, start, down))
-            busy_until[target] = start + down
-        return schedule

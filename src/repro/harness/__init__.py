@@ -25,6 +25,7 @@ from repro.harness.experiment import (
 from repro.harness.parallel import (
     EvalMemo,
     ParallelSweep,
+    SweepPoint,
     SweepPointError,
     WarmPool,
     derive_seed,
@@ -38,7 +39,6 @@ from repro.harness.search import (
     trajectory_chart,
 )
 from repro.harness.recorder import Recorder
-from repro.harness.sweep import Sweep, SweepPoint
 from repro.harness.tables import format_table
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "ScalabilityPoint",
     "SearchResult",
     "SearchSpace",
-    "Sweep",
     "SweepPoint",
     "SweepPointError",
     "WarmPool",

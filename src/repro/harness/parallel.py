@@ -2,8 +2,8 @@
 
 Figure regeneration is embarrassingly parallel — every sweep point is an
 independent fixed-seed simulation — so :class:`ParallelSweep` fans the
-grid out over worker processes while keeping the three properties the
-serial :class:`~repro.harness.sweep.Sweep` guarantees:
+grid out over worker processes (or runs it inline with ``processes=0``)
+while keeping three properties a serial loop would have:
 
 - **Deterministic seeds.**  Each point's seed is derived by hashing the
   base seed together with the point's (sorted) parameters, so it depends
@@ -12,7 +12,7 @@ serial :class:`~repro.harness.sweep.Sweep` guarantees:
 - **Deterministic merge.**  Results, telemetry snapshots, and recorder
   outputs come back in grid (axis) order regardless of completion order
   — ``Pool.imap(..., chunksize=1)`` preserves input order, and the grid
-  is built the same way ``Sweep.run`` iterates it.
+  is built in ``itertools.product`` order over the axes.
 - **Attributable failures.**  A worker that raises doesn't poison the
   pool silently: the failing point's parameters travel back with the
   traceback and surface as a :class:`SweepPointError`.
@@ -42,13 +42,21 @@ import multiprocessing
 import multiprocessing.pool
 import os
 import traceback
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.harness.sweep import Sweep, SweepPoint
 from repro.telemetry import registry as _telemetry
 
 #: The experiment body: keyword parameters in, any (picklable) result out.
 Runner = Callable[..., Any]
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One cell of the sweep grid."""
+
+    params: Dict[str, Any]
+    result: Any
 
 
 class SweepPointError(RuntimeError):
@@ -194,14 +202,22 @@ class EvalMemo:
         self._store[key] = outcome
 
 
-class ParallelSweep(Sweep):
-    """A cartesian sweep fanned out over a ``multiprocessing`` pool.
+class ParallelSweep:
+    """A cartesian sweep of a runner over named parameter axes.
+
+    Example::
+
+        sweep = ParallelSweep(run_one, processes=0, cycle_s=[0.05, 0.5], rpns=[1, 4, 8])
+        sweep.run()
+        sweep.result(cycle_s=0.5, rpns=8)
+        sweep.column("rpns", cycle_s=0.5)   # [(1, r), (4, r), (8, r)]
 
     Parameters
     ----------
     runner:
-        Module-level callable; receives one keyword per axis plus the
-        injected seed parameter.
+        Receives one keyword per axis plus the injected seed parameter.
+        It must be module-level (the pool pickles it) unless
+        ``processes=0``.
     processes:
         Pool size.  ``0`` runs inline (no pool — bit-identical to what a
         pool of one produces, useful under profilers and debuggers);
@@ -234,7 +250,11 @@ class ParallelSweep(Sweep):
         memo: Optional[EvalMemo] = None,
         **axes: Sequence[Any],
     ) -> None:
-        super().__init__(runner, **axes)
+        if not axes:
+            raise ValueError("a sweep needs at least one axis")
+        for name, values in axes.items():
+            if not values:
+                raise ValueError("axis {!r} is empty".format(name))
         if processes is not None and processes < 0:
             raise ValueError("processes must be >= 0")
         if pool is not None and processes is not None:
@@ -243,6 +263,11 @@ class ParallelSweep(Sweep):
             raise ValueError(
                 "axis {!r} collides with the injected seed parameter".format(seed_param)
             )
+        self.runner = runner
+        self.axes: Dict[str, List[Any]] = {
+            name: list(values) for name, values in axes.items()
+        }
+        self.points: List[SweepPoint] = []
         self.processes = processes
         self.base_seed = base_seed
         self.seed_param = seed_param
@@ -330,3 +355,30 @@ class ParallelSweep(Sweep):
             with multiprocessing.Pool(processes=processes) as fresh_pool:
                 consume(fresh_pool.imap(_run_point, pending, chunksize=1))
         return self
+
+    # -- queries -----------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def _match(self, point: SweepPoint, fixed: Dict[str, Any]) -> bool:
+        return all(point.params.get(name) == value for name, value in fixed.items())
+
+    def result(self, **fixed: Any) -> Any:
+        """The single result matching ``fixed`` (KeyError if not exactly 1)."""
+        matches = [p for p in self.points if self._match(p, fixed)]
+        if len(matches) != 1:
+            raise KeyError(
+                "{} results match {!r}".format(len(matches), fixed)
+            )
+        return matches[0].result
+
+    def column(self, axis: str, **fixed: Any) -> List[Tuple[Any, Any]]:
+        """(axis value, result) pairs along one axis with others fixed."""
+        if axis not in self.axes:
+            raise KeyError("unknown axis {!r}".format(axis))
+        pairs = []
+        for point in self.points:
+            if self._match(point, fixed):
+                pairs.append((point.params[axis], point.result))
+        return pairs

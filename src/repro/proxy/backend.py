@@ -161,13 +161,6 @@ class BackendServer:
         self._body_path = path
         self._body_len = largest
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """(host, port) once started."""
-        if self.port is None:
-            raise RuntimeError("backend not started")
-        return self.host, self.port
-
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:

@@ -29,10 +29,6 @@ class DemoResult:
     errors: Dict[str, int] = field(default_factory=dict)
     latencies_s: Dict[str, List[float]] = field(default_factory=dict)
 
-    def completed_rate(self, host: str, duration_s: float) -> float:
-        """Completed requests per second for one host."""
-        return self.completed.get(host, 0) / duration_s if duration_s > 0 else 0.0
-
     def mean_latency_s(self, host: str) -> float:
         """Mean latency of one host's completed requests."""
         values = self.latencies_s.get(host, [])

@@ -283,13 +283,6 @@ class GageProxy(ClientSessionMixin):
         self._tasks.clear()
         self.pool.close_all()
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """(host, port) once started."""
-        if self.port is None:
-            raise RuntimeError("proxy not started")
-        return self.host, self.port
-
     # -- background loops --------------------------------------------------
 
     async def _scheduler_loop(self) -> None:

@@ -402,13 +402,6 @@ class WorkerSupervisor:
                     pass
             os.rmdir(self._control_dir)
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """(host, port) once started."""
-        if self.port is None:
-            raise RuntimeError("supervisor not started")
-        return self.host, self.port
-
     def alive_workers(self) -> int:
         """Worker processes currently running."""
         return sum(

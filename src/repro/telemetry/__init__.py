@@ -1,7 +1,7 @@
-"""``repro.telemetry`` — dependency-free metrics, tracing, and sinks.
+"""``repro.telemetry`` — dependency-free metrics and sinks.
 
 The observability layer every paper metric is derived from: counters,
-gauges, fixed-bucket histograms, and a span tracer, all registered in a
+gauges and fixed-bucket histograms, all registered in a
 process-wide :class:`MetricRegistry` with pluggable sinks (in-memory,
 JSONL, one-line console reporter).
 
@@ -32,9 +32,7 @@ from repro.telemetry.metrics import (
 from repro.telemetry.registry import (
     MetricRegistry,
     counter,
-    gauge,
     get_registry,
-    histogram,
     reset,
     set_registry,
 )
@@ -45,7 +43,6 @@ from repro.telemetry.sinks import (
     Sink,
     read_jsonl,
 )
-from repro.telemetry.tracer import Span, Tracer, sim_tracer, wall_tracer
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_S",
@@ -58,17 +55,11 @@ __all__ = [
     "Metric",
     "MetricRegistry",
     "Sink",
-    "Span",
-    "Tracer",
     "counter",
     "exponential_buckets",
-    "gauge",
     "get_registry",
-    "histogram",
     "label_key",
     "read_jsonl",
     "reset",
     "set_registry",
-    "sim_tracer",
-    "wall_tracer",
 ]

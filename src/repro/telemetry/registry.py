@@ -204,15 +204,3 @@ def reset() -> None:
 def counter(name: str, **labels: str) -> Counter:
     """``get_registry().counter(...)``."""
     return _default_registry.counter(name, **labels)
-
-
-def gauge(name: str, **labels: str) -> Gauge:
-    """``get_registry().gauge(...)``."""
-    return _default_registry.gauge(name, **labels)
-
-
-def histogram(
-    name: str, bounds: Optional[Sequence[float]] = None, **labels: str
-) -> Histogram:
-    """``get_registry().histogram(...)``."""
-    return _default_registry.histogram(name, bounds=bounds, **labels)

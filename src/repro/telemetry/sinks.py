@@ -48,10 +48,6 @@ class InMemorySink(Sink):
     def on_event(self, event: Dict[str, object]) -> None:
         self.events.append(event)
 
-    def last_snapshot(self) -> Optional[Dict[str, object]]:
-        """The most recent snapshot, or None."""
-        return self.snapshots[-1] if self.snapshots else None
-
 
 class JSONLSink(Sink):
     """Writes snapshots and events as JSON Lines.

@@ -5,8 +5,8 @@ platform at scale does not — customers sign up and depart while the
 cluster serves.  This generator produces a reproducible (seeded) stream
 of join/leave events that drives the control plane's churn APIs
 (:meth:`~repro.core.rdn.PrimaryRDN.register_subscriber` /
-``deregister_subscriber``, and the sharded facade's equivalents), which
-is what the scale benchmark and the churn tests replay.
+``deregister_subscriber``), which is what the scale benchmark and the
+churn tests replay.
 
 Joins and leaves are Poisson processes; a leave removes a uniformly
 chosen *churnable* live subscriber.  Subscribers present at time zero

@@ -9,7 +9,7 @@ an overloaded server cannot silently throttle the offered load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.net.addresses import IPAddress
 from repro.net.tcp import Connection, ConnectionError_, HostStack
@@ -113,10 +113,3 @@ class ClientFleet:
             self.stats.completions.append((self.env.now, record.host))
         except ConnectionError_:
             self.stats.failed += 1
-
-    def completions_by_host(self) -> Dict[str, List[float]]:
-        """Completion timestamps grouped by host."""
-        grouped: Dict[str, List[float]] = {}
-        for at, host in self.stats.completions:
-            grouped.setdefault(host, []).append(at)
-        return grouped

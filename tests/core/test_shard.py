@@ -1,5 +1,11 @@
-"""Tests for the sharded control plane (repro.core.shard)."""
+"""Tests for the credit hierarchy (repro.core.shard).
 
+The allocator on its own, then composed with plain
+:class:`RequestScheduler` instances the way
+:class:`~repro.proxy.workers.WorkerSupervisor` composes its workers.
+"""
+
+import asyncio
 import random
 
 import pytest
@@ -11,55 +17,14 @@ from repro.core import (
     RDNAccounting,
     RequestScheduler,
     ShardCreditReport,
-    ShardedScheduler,
-    ShardMap,
     Subscriber,
     SubscriberQueues,
 )
-from repro.core.feedback import AccountingMessage, RPNUsageReport
 from repro.core.grps import GENERIC_REQUEST, ResourceVector
+from repro.proxy import WorkerSupervisor
 
 #: An RPN that can deliver 100 generic requests per second.
 RPN_CAPACITY = ResourceVector(1.0, 1.0, 12_500_000)
-
-
-# -- ShardMap ---------------------------------------------------------------
-
-
-def test_shard_map_is_stable_across_instances():
-    names = ["site{}".format(i) for i in range(50)]
-    first = ShardMap(4)
-    second = ShardMap(4)
-    assert first.assignments(names) == second.assignments(names)
-    for name in names:
-        assert 0 <= first.shard_of(name) < 4
-
-
-def test_shard_map_partition_covers_every_name_once():
-    names = ["s{}".format(i) for i in range(40)]
-    groups = ShardMap(3).partition(names)
-    assert len(groups) == 3
-    flat = [name for group in groups for name in group]
-    assert sorted(flat) == sorted(names)
-
-
-def test_shard_map_single_shard_takes_everything():
-    names = ["a", "b", "c"]
-    assert ShardMap(1).partition(names) == [names]
-
-
-def test_shard_map_rejects_zero_shards():
-    with pytest.raises(ValueError):
-        ShardMap(0)
-
-
-def test_shard_map_is_independent_of_registration_order():
-    shuffled = ["x{}".format(i) for i in range(20)]
-    rng = random.Random(3)
-    rng.shuffle(shuffled)
-    by_order = ShardMap(4).assignments(shuffled)
-    by_sorted = ShardMap(4).assignments(sorted(shuffled))
-    assert by_order == by_sorted
 
 
 # -- GlobalAllocator --------------------------------------------------------
@@ -193,10 +158,10 @@ def test_rebalance_conserves_credit_under_random_reports():
         assert_conserved(reports, answers)  # no dead-shard carry in play
 
 
-# -- ShardedScheduler -------------------------------------------------------
+# -- the allocator over RequestScheduler workers ------------------------------
 
 
-def build_legacy(subscribers, config, rpns=4):
+def build_legacy(subscribers, config, rpns=4, capacity=RPN_CAPACITY):
     """The single-instance control plane, assembled by hand."""
     queues = SubscriberQueues()
     accounting = RDNAccounting(table=queues.table)
@@ -205,159 +170,110 @@ def build_legacy(subscribers, config, rpns=4):
         queues.register(sub)
         accounting.register(sub)
     for index in range(rpns):
-        nodes.add_node("rpn{}".format(index), RPN_CAPACITY)
+        nodes.add_node("rpn{}".format(index), capacity)
     scheduler = RequestScheduler(
         config, queues, accounting, nodes, dispatch_fn=lambda req, rpn, name, predicted: None
     )
     return scheduler, queues
 
 
-def feedback_message(rpn_id, usage_per_request, completed_by_name, now):
-    return AccountingMessage(
-        rpn_id=rpn_id,
-        cycle_start_s=now - 0.1,
-        cycle_end_s=now,
-        total_usage=ResourceVector.ZERO,
-        per_subscriber={
-            name: RPNUsageReport(usage_per_request.scaled(count), count)
-            for name, count in completed_by_name.items()
-        },
-    )
-
-
-def test_single_shard_matches_legacy_scheduler_decisions():
-    """workers=1 constraint: the sharded path must make byte-identical
-    scheduling decisions to a directly-constructed RequestScheduler."""
-    subscribers = [
-        Subscriber("gold", reservation_grps=200),
-        Subscriber("silver", reservation_grps=120),
-        Subscriber("bronze", reservation_grps=50),
-    ]
-    config = GageConfig(spare_policy="reservation")
-    capacities = {"rpn{}".format(i): RPN_CAPACITY for i in range(4)}
-
-    legacy, legacy_queues = build_legacy(subscribers, config)
-    sharded = ShardedScheduler(subscribers, capacities, config=config, num_shards=1)
-
-    rng = random.Random(7)
-    legacy_trace = []
-    sharded_trace = []
-    usage = ResourceVector(0.012, 0.008, 2100.0)
-    for cycle in range(200):
-        for sub in subscribers:
-            # A fixed-seed arrival pattern, identical for both planes.
-            arrivals = rng.randrange(0, 4)
-            for i in range(arrivals):
-                request = "{}-{}-{}".format(sub.name, cycle, i)
-                legacy_queues.get(sub.name).offer(request)
-                sharded.offer(sub.name, request)
-        legacy_trace.extend(
-            (d.subscriber, d.rpn_id, d.predicted, d.spare)
-            for d in legacy.run_cycle()
+def test_single_shard_accounting_cycle_is_a_noop(monkeypatch):
+    """One worker: the supervisor's control loop never rebalances."""
+    rounds = {1: [], 2: []}
+    for workers, calls in rounds.items():
+        supervisor = WorkerSupervisor(
+            [Subscriber("a", 100)],
+            {"backend0": ("127.0.0.1", 9000)},
+            config=GageConfig(accounting_cycle_s=0.001),
+            workers=workers,
         )
-        sharded_trace.extend(
-            (d.subscriber, d.rpn_id, d.predicted, d.spare)
-            for d in sharded.run_cycle()
-        )
-        if cycle % 10 == 9:
-            completed = {sub.name: rng.randrange(0, 3) for sub in subscribers}
-            now = 0.01 * (cycle + 1)
-            legacy.apply_feedback(
-                feedback_message("rpn0", usage, completed, now)
-            )
-            sharded.apply_feedback(
-                feedback_message("rpn0", usage, completed, now)
-            )
-            sharded.run_accounting_cycle()
 
-    assert legacy_trace == sharded_trace
-    assert len(legacy_trace) > 100  # the workload actually dispatched
+        def reap(now, supervisor=supervisor, calls=calls):
+            calls.append("reap")
+            supervisor._stopping = calls.count("reap") >= 3
 
-
-def test_single_shard_accounting_cycle_is_a_noop():
-    sub = Subscriber("a", reservation_grps=100)
-    sharded = ShardedScheduler([sub], {"rpn0": RPN_CAPACITY}, num_shards=1)
-    assert sharded.run_accounting_cycle() == {}
-    assert sharded.allocator.rebalances == 0
-
-
-def test_requests_route_to_the_home_shard():
-    subscribers = [Subscriber("s{}".format(i), 50) for i in range(8)]
-    capacities = {"rpn0": RPN_CAPACITY}
-    sharded = ShardedScheduler(
-        subscribers, capacities, num_shards=4, config=GageConfig()
-    )
-    for sub in subscribers:
-        assert sharded.offer(sub.name, "req")
-        shard = sharded.shard_for(sub.name)
-        assert len(shard.queues.get(sub.name)) == 1
-    assert not sharded.offer("unknown", "req")
+        monkeypatch.setattr(supervisor, "_reap_dead", reap)
+        monkeypatch.setattr(supervisor, "_rebalance", lambda calls=calls: calls.append("rebalance"))
+        asyncio.run(supervisor._control_loop())
+    assert rounds[1] == ["reap"] * 3
+    assert rounds[2].count("rebalance") == 3
 
 
 def test_credit_report_offers_hoard_and_reports_backlog():
     config = GageConfig(spare_policy="none", dispatch_window_s=10.0)
     subscribers = [Subscriber("a", 100), Subscriber("b", 100)]
-    sharded = ShardedScheduler(
-        subscribers, {"rpn0": RPN_CAPACITY}, config=config, num_shards=1
-    )
-    shard = sharded.shards[0]
+    scheduler, queues = build_legacy(subscribers, config, rpns=1)
     for _ in range(5):  # both idle: balances accrue toward the cap
-        shard.run_cycle()
-    shard.offer("b", "req-held")  # backlogged but never scheduled here
-    report = shard.credit_report()
-    assert report.backlog == {"b": 1}
-    assert "b" not in report.unused
+        scheduler.run_cycle()
+    queues.get("b").offer("req-held")  # backlogged but never scheduled here
+    unused, backlog = scheduler.credit_report()
+    assert backlog == {"b": 1}
+    assert "b" not in unused
     # "a" hoards 4 cycles of credit (the cap); it offers all but one
     # cycle's refill back to the pool.
-    offered = report.unused["a"]
-    sid = shard.queues.get("a").sid
-    credit, _ = shard.scheduler.ledger.cycle_credit(sid, subscribers[0])
+    offered = unused["a"]
+    sid = queues.get("a").sid
+    credit, _ = scheduler.ledger.cycle_credit(sid, subscribers[0])
     assert offered.cpu_s == pytest.approx(credit.scaled(3.0).cpu_s)
 
 
 def test_credit_report_wakes_no_settled_subscriber():
     subscribers = [Subscriber("sub{}".format(i), 100) for i in range(10)]
-    sharded = ShardedScheduler(subscribers, {"rpn0": RPN_CAPACITY}, num_shards=1)
-    shard = sharded.shards[0]
+    scheduler, _queues = build_legacy(subscribers, GageConfig(), rpns=1)
     for _ in range(10):  # all idle: everyone reaches the cap and settles
-        shard.run_cycle()
-    assert shard.scheduler.active_count() == 0
-    report = shard.credit_report()
-    assert shard.accounting.drain_dirty() == []  # nobody to re-visit next cycle
-    assert shard.scheduler.active_count() == 0
+        scheduler.run_cycle()
+    assert scheduler.active_count() == 0
+    unused, backlog = scheduler.credit_report()
+    assert scheduler.accounting.drain_dirty() == []  # nobody to re-visit next cycle
+    assert scheduler.active_count() == 0
     # Everyone sits at the 4-cycle hoard cap and offers all but one refill.
-    assert report.backlog == {}
-    assert report.unused == {
+    assert backlog == {}
+    assert unused == {
         sub.name: GENERIC_REQUEST.scaled(4.0) - GENERIC_REQUEST
         for sub in subscribers
     }
 
 
 def test_cross_shard_grant_moves_balance_between_shards():
-    """Two shards: the idle subscriber's hoard funds the backlogged one."""
+    """Two workers: the idle worker's hoard funds the backlogged one.
+
+    Composed as ``WorkerSupervisor`` composes its workers: every worker
+    registers every subscriber at ``reservation / N`` over ``1 / N`` of
+    the capacity, and the allocator keeps the global reservations.
+    """
     config = GageConfig(spare_policy="reservation", dispatch_window_s=10.0)
-    # Pick names that land on different shards of a 2-shard map.
-    shard_map = ShardMap(2)
-    names = ["sub{}".format(i) for i in range(10)]
-    on_zero = [n for n in names if shard_map.shard_of(n) == 0][0]
-    on_one = [n for n in names if shard_map.shard_of(n) == 1][0]
-    subscribers = [Subscriber(on_zero, 100), Subscriber(on_one, 100)]
-    sharded = ShardedScheduler(
-        subscribers, {"rpn0": RPN_CAPACITY}, config=config, num_shards=2
-    )
-    idle_shard = sharded.shard_for(on_zero)
-    busy_shard = sharded.shard_for(on_one)
+    subscribers = [Subscriber("idle", 100), Subscriber("busy", 100)]
+    fraction = 0.5
+    workers = [
+        build_legacy(
+            [Subscriber(sub.name, sub.reservation_grps * fraction) for sub in subscribers],
+            config,
+            rpns=1,
+            capacity=RPN_CAPACITY.scaled(fraction),
+        )
+        for _ in range(2)
+    ]
+    allocator = GlobalAllocator({sub.name: sub.reservation_grps for sub in subscribers})
+    (idle_scheduler, idle_queues), (busy_scheduler, busy_queues) = workers
     for _ in range(5):
-        sharded.run_cycle()  # on_zero hoards credit; on_one idle too
+        for scheduler, _queues in workers:
+            scheduler.run_cycle()  # everyone idle: balances hoard to the cap
     for i in range(500):
-        busy_shard.offer(on_one, "r{}".format(i))
-    before = busy_shard.accounting.account(on_one).balance
-    answers = sharded.run_accounting_cycle()
-    after = busy_shard.accounting.account(on_one).balance
+        busy_queues.get("busy").offer("r{}".format(i))
+    before = busy_scheduler.accounting.account("busy").balance
+
+    reports = []
+    for worker_id, (scheduler, _queues) in enumerate(workers):
+        unused, backlog = scheduler.credit_report()
+        reports.append(ShardCreditReport(worker_id, unused=unused, backlog=backlog))
+    answers = allocator.rebalance(reports)
+    for worker_id, (scheduler, _queues) in enumerate(workers):
+        scheduler.apply_credit_grant(answers[worker_id].net())
+
+    after = busy_scheduler.accounting.account("busy").balance
     assert after.cpu_s > before.cpu_s  # the grant landed
-    assert idle_shard.accounting.account(on_zero).balance.cpu_s == pytest.approx(
-        idle_shard.scheduler.ledger.cycle_credit(
-            idle_shard.queues.get(on_zero).sid, subscribers[0]
-        )[0].cpu_s
+    idle_sid = idle_queues.get("idle").sid
+    assert idle_scheduler.accounting.account("idle").balance.cpu_s == pytest.approx(
+        idle_scheduler.ledger.cycle_credit(idle_sid, idle_queues.get("idle").subscriber)[0].cpu_s
     )  # the hoard was reclaimed down to one cycle's refill
     assert set(answers) == {0, 1}

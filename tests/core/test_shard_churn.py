@@ -1,14 +1,12 @@
-"""Sharded control plane under subscriber churn (join/leave mid-run).
-
-Two invariants:
+"""The credit hierarchy under subscriber churn (join/leave mid-run).
 
 * **Conservation** — across any sequence of rebalances interleaved with
   ``set_reservation``/``remove_reservation`` churn, every rebalance
   grants exactly what it reclaims plus whatever carry it consumed; no
   credit is minted or destroyed by churn.
-* **Equivalence** — with ``num_shards=1`` the churn-capable sharded
-  plane makes byte-identical decisions to a directly-constructed
-  RequestScheduler subjected to the same joins and leaves.
+* **Fresh joins** — one worker's :class:`RequestScheduler` stops
+  scheduling a departed subscriber, and a re-join starts from one
+  cycle's credit rather than the old hoard.
 """
 
 import random
@@ -22,7 +20,6 @@ from repro.core import (
     RDNAccounting,
     RequestScheduler,
     ShardCreditReport,
-    ShardedScheduler,
     Subscriber,
     SubscriberQueues,
 )
@@ -113,112 +110,58 @@ def test_removed_subscriber_carry_keeps_riding():
     assert granted.cpu_s == pytest.approx(expect.cpu_s)
 
 
-# -- ShardedScheduler churn routing ------------------------------------------
+# -- RequestScheduler churn ---------------------------------------------------
 
 
-def test_add_subscriber_routes_to_home_shard():
-    sharded = ShardedScheduler(
-        [Subscriber("seed", 50)], {"rpn0": RPN_CAPACITY}, num_shards=4
+def build_scheduler(subscribers):
+    """One worker's control plane (queues, accounting, scheduler)."""
+    config = GageConfig()
+    queues = SubscriberQueues()
+    accounting = RDNAccounting(table=queues.table)
+    nodes = NodeScheduler(policy=config.node_policy, window_s=config.dispatch_window_s)
+    for sub in subscribers:
+        queues.register(sub)
+        accounting.register(sub)
+    nodes.add_node("rpn0", RPN_CAPACITY)
+    scheduler = RequestScheduler(
+        config, queues, accounting, nodes,
+        dispatch_fn=lambda req, rpn, name, predicted: None,
     )
-    assert not sharded.offer("late", "req")
-    shard = sharded.add_subscriber(Subscriber("late", reservation_grps=200))
-    assert shard is sharded.shard_for("late")
-    assert sharded.offer("late", "req")
-    assert len(shard.queues.get("late")) == 1
-    assert shard.run_cycle()  # the new reservation dispatches
+    return scheduler, queues, accounting
+
+
+def remove(queues, accounting, name):
+    """A departure: accounting first, so pending predictions are forgotten."""
+    if name not in queues:
+        return False
+    accounting.unregister(name)
+    queues.unregister(name)
+    return True
 
 
 def test_remove_subscriber_stops_routing_and_scheduling():
-    sharded = ShardedScheduler(
-        [Subscriber("a", 150), Subscriber("b", 150)],
-        {"rpn0": RPN_CAPACITY},
-        num_shards=2,
+    scheduler, queues, accounting = build_scheduler(
+        [Subscriber("a", 150), Subscriber("b", 150)]
     )
-    assert sharded.remove_subscriber("a")
-    assert not sharded.remove_subscriber("a")  # idempotent
-    assert not sharded.offer("a", "req")
-    assert sharded.offer("b", "req")
-    decisions = sharded.run_cycle()
+    assert remove(queues, accounting, "a")
+    assert not remove(queues, accounting, "a")  # idempotent
+    assert queues.get("a") is None
+    assert queues.get("b").offer("req")
+    decisions = scheduler.run_cycle()
     assert {d.subscriber for d in decisions} == {"b"}
 
 
 def test_readding_a_removed_subscriber_starts_fresh():
-    sharded = ShardedScheduler(
-        [Subscriber("a", 100)], {"rpn0": RPN_CAPACITY}, num_shards=2
-    )
+    scheduler, queues, accounting = build_scheduler([Subscriber("a", 100)])
     for _ in range(10):
-        sharded.run_cycle()  # hoard credit to the cap
-    sharded.remove_subscriber("a")
-    sharded.add_subscriber(Subscriber("a", reservation_grps=100))
-    shard = sharded.shard_for("a")
+        scheduler.run_cycle()  # hoard credit to the cap
+    remove(queues, accounting, "a")
+    sub = Subscriber("a", reservation_grps=100)
+    queues.register(sub)
+    accounting.register(sub)
     for i in range(20):
-        shard.offer("a", "req-{}".format(i))
-    decisions = sharded.run_cycle()
+        queues.get("a").offer("req-{}".format(i))
+    decisions = scheduler.run_cycle()
     # A fresh join has exactly one cycle of credit — the old hoard died
     # with the old registration.
     assert len([d for d in decisions if not d.spare]) == 1
-
-
-# -- workers=1 equivalence under churn ---------------------------------------
-
-
-def test_single_shard_churn_matches_legacy_scheduler():
-    config = GageConfig(spare_policy="reservation")
-    initial = [Subscriber("s0", 100), Subscriber("s1", 60)]
-    capacities = {"rpn{}".format(i): RPN_CAPACITY for i in range(4)}
-
-    queues = SubscriberQueues()
-    accounting = RDNAccounting(table=queues.table)
-    nodes = NodeScheduler(policy=config.node_policy, window_s=config.dispatch_window_s)
-    for sub in initial:
-        queues.register(sub)
-        accounting.register(sub)
-    for rpn_id, capacity in capacities.items():
-        nodes.add_node(rpn_id, capacity)
-    legacy = RequestScheduler(
-        config, queues, accounting, nodes,
-        dispatch_fn=lambda req, rpn, name, predicted: None,
-    )
-
-    sharded = ShardedScheduler(initial, capacities, config=config, num_shards=1)
-
-    def legacy_add(sub):
-        queues.register(sub)
-        accounting.register(sub)
-
-    def legacy_remove(name):
-        accounting.unregister(name)
-        queues.unregister(name)
-
-    rng = random.Random(23)
-    live = ["s0", "s1"]
-    next_index = 2
-    legacy_trace, sharded_trace = [], []
-    for cycle in range(150):
-        if cycle % 20 == 5:
-            name = "s{}".format(next_index)
-            next_index += 1
-            sub = Subscriber(name, reservation_grps=float(rng.randrange(40, 120)))
-            legacy_add(sub)
-            sharded.add_subscriber(Subscriber(name, sub.reservation_grps))
-            live.append(name)
-        if cycle % 30 == 15 and len(live) > 1:
-            victim = live.pop(rng.randrange(len(live)))
-            legacy_remove(victim)
-            sharded.remove_subscriber(victim)
-        for name in live:
-            for i in range(rng.randrange(0, 3)):
-                request = "{}-{}-{}".format(name, cycle, i)
-                queues.get(name).offer(request)
-                sharded.offer(name, request)
-        legacy_trace.extend(
-            (d.subscriber, d.rpn_id, d.predicted, d.spare)
-            for d in legacy.run_cycle()
-        )
-        sharded_trace.extend(
-            (d.subscriber, d.rpn_id, d.predicted, d.spare)
-            for d in sharded.run_cycle()
-        )
-
-    assert legacy_trace == sharded_trace
-    assert len(legacy_trace) > 50

@@ -1,8 +1,8 @@
-"""Tests for the cartesian sweep utility."""
+"""Tests for inline (``processes=0``) cartesian sweeps."""
 
 import pytest
 
-from repro.harness.sweep import Sweep
+from repro.harness.parallel import ParallelSweep
 
 
 def test_sweep_runs_cartesian_product():
@@ -12,14 +12,13 @@ def test_sweep_runs_cartesian_product():
         calls.append((a, b))
         return a * b
 
-    sweep = Sweep(runner, a=[1, 2], b=[10, 20, 30]).run()
+    sweep = ParallelSweep(runner, processes=0, a=[1, 2], b=[10, 20, 30]).run()
     assert len(sweep) == 6
-    assert sweep.size == 6
     assert calls == [(1, 10), (1, 20), (1, 30), (2, 10), (2, 20), (2, 30)]
 
 
 def test_result_lookup():
-    sweep = Sweep(lambda a, b: a + b, a=[1, 2], b=[10, 20]).run()
+    sweep = ParallelSweep(lambda a, b: a + b, processes=0, a=[1, 2], b=[10, 20]).run()
     assert sweep.result(a=2, b=10) == 12
     with pytest.raises(KeyError):
         sweep.result(a=1)  # two matches
@@ -28,32 +27,26 @@ def test_result_lookup():
 
 
 def test_column_extraction():
-    sweep = Sweep(lambda a, b: a * b, a=[1, 2, 3], b=[10, 20]).run()
+    sweep = ParallelSweep(lambda a, b: a * b, processes=0, a=[1, 2, 3], b=[10, 20]).run()
     column = sweep.column("a", b=20)
     assert column == [(1, 20), (2, 40), (3, 60)]
     with pytest.raises(KeyError):
         sweep.column("nope")
 
 
-def test_map_results():
-    sweep = Sweep(lambda a: {"value": a}, a=[1, 2]).run()
-    mapped = sweep.map_results(lambda r: r["value"] * 100)
-    assert mapped.result(a=2) == 200
-    # Original untouched.
-    assert sweep.result(a=2) == {"value": 2}
-
-
 def test_progress_callback():
     seen = []
-    Sweep(lambda a: a, a=[1, 2, 3]).run(progress=lambda p: seen.append(p["a"]))
+    ParallelSweep(lambda a: a, processes=0, a=[1, 2, 3]).run(
+        progress=lambda p: seen.append(p["a"])
+    )
     assert seen == [1, 2, 3]
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        Sweep(lambda: None)
+        ParallelSweep(lambda: None, processes=0)
     with pytest.raises(ValueError):
-        Sweep(lambda a: a, a=[])
+        ParallelSweep(lambda a: a, processes=0, a=[])
 
 
 def test_sweep_with_simulation_runner():
@@ -67,5 +60,5 @@ def test_sweep_with_simulation_runner():
         )
         return curve.by_interval[1.0]
 
-    sweep = Sweep(runner, cycle_s=[0.1, 2.0]).run()
+    sweep = ParallelSweep(runner, processes=0, cycle_s=[0.1, 2.0]).run()
     assert sweep.result(cycle_s=2.0) > sweep.result(cycle_s=0.1)

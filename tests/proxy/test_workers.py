@@ -75,20 +75,22 @@ class TestSupervisorConstruction:
         with pytest.raises(ValueError):
             WorkerSupervisor([Subscriber("a.com", 100)], {})
 
-    def test_partitions_reservations_and_capacity(self):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_partitions_reservations_and_capacity(self, workers):
         supervisor = WorkerSupervisor(
             [Subscriber("a.com", 100), Subscriber("b.com", 60)],
             {"backend0": ("127.0.0.1", 9000)},
-            workers=4,
+            workers=workers,
             backend_capacity=ResourceVector(1.0, 1.0, 12_500_000.0),
         )
         per_worker = {
             sub.name: sub.reservation_grps
             for sub in supervisor._worker_subscribers
         }
-        assert per_worker == {"a.com": 25.0, "b.com": 15.0}
+        # One worker passes reservations and capacity through unscaled.
+        assert per_worker == {"a.com": 100.0 / workers, "b.com": 60.0 / workers}
         assert supervisor._worker_capacity == ResourceVector(
-            0.25, 0.25, 3_125_000.0
+            1.0 / workers, 1.0 / workers, 12_500_000.0 / workers
         )
         # The allocator keeps the *global* reservations for spare shares.
         assert supervisor.allocator.reservations == {"a.com": 100, "b.com": 60}
