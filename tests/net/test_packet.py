@@ -1,7 +1,7 @@
 """Tests for packet structure and wire-format encoding."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.net import ETH_IP_TCP_HEADER_LEN, IPAddress, MACAddress, Packet, TCPFlags
@@ -66,6 +66,68 @@ def test_copy_gets_fresh_pid():
     assert clone.seq == 9999
     assert clone.src_ip == packet.src_ip
     assert packet.seq == 1000  # original untouched
+
+
+def test_copy_checks_overrides_like_the_constructor():
+    # The copy used to set overrides after construction, unchecked: this
+    # returned a packet with src_port 70000 and total_len 49.
+    packet = make_packet()
+    with pytest.raises(ValueError):
+        packet.copy(src_port=70000, payload_len=-5)
+    with pytest.raises(ValueError):
+        packet.copy(dst_port=-1)
+    with pytest.raises(ValueError):
+        packet.copy(payload_len=-1)
+    with pytest.raises(TypeError):
+        packet.copy(window=1024)
+
+
+FIELDS = (
+    "src_mac", "dst_mac", "src_ip", "dst_ip", "src_port", "dst_port",
+    "seq", "ack", "flags", "payload", "payload_len",
+)
+
+
+def reference_copy(packet, **changes):
+    """The ``Packet.copy`` this one replaced: construct, then overwrite."""
+    new = Packet(*(getattr(packet, name) for name in FIELDS))
+    if changes:
+        for name, value in changes.items():
+            setattr(new, name, value)
+        new.seq %= 2**32
+        new.ack %= 2**32
+    return new
+
+
+overrides = st.fixed_dictionaries(
+    {},
+    optional={
+        "src_mac": st.sampled_from([MACAddress(1), MACAddress.broadcast()]),
+        "dst_mac": st.sampled_from([MACAddress(2), MACAddress(3)]),
+        "src_ip": st.sampled_from([IPAddress("10.0.0.9"), IPAddress(0)]),
+        "dst_ip": st.sampled_from([IPAddress("10.0.0.1"), IPAddress(7)]),
+        "src_port": st.integers(0, 0xFFFF),
+        "dst_port": st.integers(0, 0xFFFF),
+        "seq": st.integers(-(2**33), 2**34),
+        "ack": st.integers(-(2**33), 2**34),
+        "flags": st.sampled_from(list(TCPFlags) + [TCPFlags.ACK | TCPFlags.PSH]),
+        "payload": st.sampled_from([None, "page", 0, b""]),
+        "payload_len": st.integers(0, 1460),
+    },
+)
+
+
+@seed(20030521)
+@settings(max_examples=300, deadline=None)
+@given(changes=overrides, payload=st.sampled_from([None, "req"]))
+def test_copy_equals_the_setattr_copy_on_valid_overrides(changes, payload):
+    packet = make_packet(payload=payload)
+    expected = reference_copy(packet, **changes)
+    got = packet.copy(**changes)
+    assert [getattr(got, name) for name in FIELDS] == [
+        getattr(expected, name) for name in FIELDS
+    ]
+    assert got.pid != packet.pid
 
 
 def test_pack_unpack_roundtrip_basic():
