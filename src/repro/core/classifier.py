@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.core.subscriber import SubscriberTable
-from repro.net.packet import Packet, TCPFlags
+from repro.net.packet import SYN_BIT, Packet
 from repro.telemetry.registry import get_registry
 
 
@@ -50,9 +50,6 @@ HostExtractor = Callable[[object], Optional[str]]
 #: packet was a measurable slice of the per-packet budget.
 _HANDSHAKE = Classification(PacketClass.HANDSHAKE)
 _OTHER = Classification(PacketClass.OTHER)
-#: Raw SYN bit: ``IntFlag.__and__`` allocates an enum member per check,
-#: which would dominate the per-packet classification budget.
-_SYN_BIT = TCPFlags.SYN._value_
 
 
 def web_host_extractor(payload: object) -> Optional[str]:
@@ -112,7 +109,7 @@ class RequestClassifier:
     def classify(self, packet: Packet) -> Classification:
         """Classify one packet per §3.3."""
         self.classified += 1
-        if packet.flags._value_ & _SYN_BIT:
+        if packet.flags._value_ & SYN_BIT:
             return _HANDSHAKE
         if packet.payload_len > 0:
             subscriber = self.classify_payload(packet.payload)

@@ -34,13 +34,12 @@ from repro.core.topology import grps_capacity
 from repro.net.addresses import IPAddress, MACAddress
 from repro.net.conn import Quadruple
 from repro.net.nic import FrameFilter
-from repro.net.packet import SEQ_SPACE, Packet, TCPFlags
+from repro.net.packet import ACK_BIT, ACK_PSH, SEQ_SPACE, SYN_BIT, Packet, TCPFlags
 
 #: Raw SYN|ACK bits: every outbound frame from the local stack passes
 #: through :meth:`LocalSpliceModule.outbound`, and ``IntFlag`` membership
 #: tests allocate per check.
-_SYN_ACK_BITS = TCPFlags.SYN._value_ | TCPFlags.ACK._value_
-_ACK_PSH = TCPFlags.ACK | TCPFlags.PSH
+_SYN_ACK_BITS = SYN_BIT | ACK_BIT
 from repro.net.splicing import SpliceRule
 from repro.net.tcp import HostStack
 from repro.sim.engine import Environment
@@ -189,7 +188,7 @@ class LocalServiceManager(FrameFilter):
             dst_port=order.quad.dst_port,
             seq=(order.client_isn + 1) % SEQ_SPACE,
             ack=(rpn_isn + 1) % SEQ_SPACE,
-            flags=_ACK_PSH,
+            flags=ACK_PSH,
             payload=order.request,
             payload_len=order.request_bytes,
         )

@@ -198,8 +198,13 @@ def test_switch_learning_and_forwarding():
     nics[1].transmit(frame(macs[1], macs[0]))
     env.run()
     assert len(inboxes[macs[0]]) == 1
-    assert switch.forwarded == 1
-    assert switch.lookup(MACAddress(macs[0])) is not None
+    assert (switch.flooded, switch.forwarded) == (1, 1)
+
+    # And the first sender's frames are now forwarded, not flooded, too.
+    nics[0].transmit(frame(macs[0], macs[1]))
+    env.run()
+    assert len(inboxes[macs[1]]) == 2
+    assert (switch.flooded, switch.forwarded) == (1, 2)
 
 
 def test_switch_broadcast_floods():
@@ -245,17 +250,26 @@ def test_switch_mac_aging():
 
     nics[0].transmit(frame(macs[0], macs[1]))
     env.run()
-    assert switch.lookup(MACAddress(macs[0])) is not None
+    nics[1].transmit(frame(macs[1], macs[0]))
+    env.run()
+    assert (switch.flooded, switch.forwarded) == (1, 1)  # macs[0] learned
+    assert MACAddress(macs[0]) in switch._mac_table
 
-    # Advance beyond the aging horizon: the entry expires lazily.
+    # Advance beyond the aging horizon: the entry expires lazily, on the
+    # next frame for it, which floods.
     env.timeout(20.0)
     env.run()
-    assert switch.lookup(MACAddress(macs[0])) is None
+    nics[1].transmit(frame(macs[1], macs[0]))
+    env.run()
+    assert (switch.flooded, switch.forwarded) == (2, 1)
+    assert MACAddress(macs[0]) not in switch._mac_table
 
-    # Relearn on the next frame.
+    # Relearn on the next frame from it; frames to it are forwarded again.
     nics[0].transmit(frame(macs[0], macs[1]))
     env.run()
-    assert switch.lookup(MACAddress(macs[0])) is not None
+    nics[1].transmit(frame(macs[1], macs[0]))
+    env.run()
+    assert (switch.flooded, switch.forwarded) == (2, 3)
 
 
 def test_switch_aging_validation():
