@@ -21,7 +21,7 @@ acceptance itself is asserted in-benchmark.
 import asyncio
 import random
 
-from repro.core import GageConfig, Subscriber
+from repro.core import GageConfig, ProxyConfig, Subscriber
 from repro.harness import run_deviation_experiment
 from repro.harness.loadgen import closed_loop
 from repro.proxy import BackendServer, GageProxy
@@ -93,10 +93,12 @@ def _round(hedge_policy):
             scheduling_cycle_s=0.002,
             accounting_cycle_s=0.05,
             dispatch_window_s=60.0,
-            proxy_failure_threshold=1000,
         )
         proxy = GageProxy(
-            [Subscriber(SITE, 100_000.0, queue_capacity=4096)], addrs, config=config
+            [Subscriber(SITE, 100_000.0, queue_capacity=4096)],
+            addrs,
+            config=config,
+            proxy_config=ProxyConfig(failure_threshold=1000),
         )
         port = await proxy.start()
         try:

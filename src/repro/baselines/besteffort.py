@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.baselines.replay import TraceReplay
 from repro.cluster.webserver import WebServer
 from repro.sim.engine import Environment
-from repro.workload.request import RequestRecord, WebRequest, issue_delays
+from repro.workload.request import WebRequest
 
 
-class BestEffortDispatcher:
+class BestEffortDispatcher(TraceReplay):
     """Least-in-flight immediate dispatch across back-end web servers."""
 
     def __init__(
@@ -70,14 +71,6 @@ class BestEffortDispatcher:
             yield self.env.process(server.service_request(request))
         finally:
             self._in_flight[index] -= 1
-
-    def load_trace(self, records: List[RequestRecord]) -> None:
-        """Schedule a trace for immediate-dispatch issue."""
-        self.env.call_later_each(
-            issue_delays(records, self.env.now),
-            lambda record: self.submit(record.to_request()),
-            records,
-        )
 
     def completed_rate(self, start_s: float, end_s: float, host: Optional[str] = None) -> float:
         """Completions per second in a window (optionally one host)."""

@@ -20,9 +20,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Tuple
 
+from repro.baselines.replay import TraceReplay
 from repro.cluster.webserver import WebServer
 from repro.sim.engine import Environment
-from repro.workload.request import RequestRecord, WebRequest, issue_delays
+from repro.workload.request import WebRequest
 
 
 @dataclass
@@ -39,7 +40,7 @@ class CountFairQueue:
     dispatched: int = 0
 
 
-class CountFairDispatcher:
+class CountFairDispatcher(TraceReplay):
     """WRR over request *counts*: Gage minus the accounting feedback."""
 
     #: A queue may bank at most this many cycles of unused count credit.
@@ -93,14 +94,6 @@ class CountFairDispatcher:
             return False
         queue.queue.append(request)
         return True
-
-    def load_trace(self, records: List[RequestRecord]) -> None:
-        """Schedule a trace for issue."""
-        self.env.call_later_each(
-            issue_delays(records, self.env.now),
-            lambda record: self.submit(record.to_request()),
-            records,
-        )
 
     def completed_rate(self, host: str, start_s: float, end_s: float) -> float:
         """Completions per second for one host in a window."""

@@ -17,9 +17,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Tuple
 
+from repro.baselines.replay import TraceReplay
 from repro.cluster.webserver import WebServer
 from repro.sim.engine import Environment
-from repro.workload.request import RequestRecord, WebRequest, issue_delays
+from repro.workload.request import WebRequest
 
 
 @dataclass
@@ -35,7 +36,7 @@ class PriorityClass:
     dispatched: int = 0
 
 
-class PriorityDispatcher:
+class PriorityDispatcher(TraceReplay):
     """Strict-priority queueing over the same back-end substrate."""
 
     def __init__(
@@ -86,14 +87,6 @@ class PriorityDispatcher:
             return False
         cls.queue.append(request)
         return True
-
-    def load_trace(self, records: List[RequestRecord]) -> None:
-        """Schedule a trace for issue."""
-        self.env.call_later_each(
-            issue_delays(records, self.env.now),
-            lambda record: self.submit(record.to_request()),
-            records,
-        )
 
     def _loop(self):
         while True:

@@ -14,7 +14,7 @@ the one-call cluster assembly used by the benchmarks and examples.
 
 from repro.core.accounting import RDNAccounting, SubscriberAccount
 from repro.core.classifier import Classification, PacketClass, RequestClassifier
-from repro.core.config import GageConfig
+from repro.core.config import GageConfig, ProxyConfig
 from repro.core.conntable import ConnectionTable
 from repro.core.credit import CreditLedger
 from repro.core.estimator import UsageEstimator
@@ -72,6 +72,7 @@ __all__ = [
     "PlacementEngine",
     "PlacementStats",
     "PrimaryRDN",
+    "ProxyConfig",
     "RDNAccounting",
     "RDNOpCounters",
     "RequestClassifier",

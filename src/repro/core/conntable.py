@@ -17,6 +17,11 @@ from typing import Dict, List, Optional
 from repro.net.addresses import MACAddress
 from repro.net.conn import Quadruple
 
+#: How long after observing a connection's FIN/RST its state (the RDN's
+#: connection-table entry, the LSM's splice rule) lingers so retransmitted
+#: teardown packets still route; then it is reclaimed.
+LINGER_S = 2.0
+
 
 @dataclass(frozen=True)
 class ConnectionEntry:

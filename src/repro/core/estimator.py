@@ -9,7 +9,13 @@ sample arrives.
 
 from __future__ import annotations
 
-from repro.core.config import ESTIMATE_EWMA, ESTIMATE_LAST, ESTIMATE_STATIC
+from repro.core.config import (
+    ESTIMATE_EWMA,
+    ESTIMATE_LAST,
+    ESTIMATE_STATIC,
+    ESTIMATOR_POLICIES,
+    GageConfig,
+)
 from repro.core.grps import GENERIC_REQUEST, ResourceVector
 
 
@@ -30,11 +36,11 @@ class UsageEstimator:
 
     def __init__(
         self,
-        policy: str = ESTIMATE_EWMA,
-        alpha: float = 0.25,
+        policy: str = GageConfig.estimator_policy,
+        alpha: float = GageConfig.estimator_alpha,
         initial: ResourceVector = GENERIC_REQUEST,
     ) -> None:
-        if policy not in (ESTIMATE_EWMA, ESTIMATE_LAST, ESTIMATE_STATIC):
+        if policy not in ESTIMATOR_POLICIES:
             raise ValueError("unknown estimator policy: {!r}".format(policy))
         if not 0 < alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.config import (
+    NODE_POLICIES,
     NODES_LEAST_LOAD,
     NODES_LOCALITY,
-    NODES_RANDOM,
     NODES_ROUND_ROBIN,
+    GageConfig,
 )
 from repro.core.grps import ResourceVector
 
@@ -102,16 +103,11 @@ class NodeScheduler:
 
     def __init__(
         self,
-        policy: str = NODES_LEAST_LOAD,
+        policy: str = GageConfig.node_policy,
         window_s: float = 0.25,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if policy not in (
-            NODES_LEAST_LOAD,
-            NODES_ROUND_ROBIN,
-            NODES_RANDOM,
-            NODES_LOCALITY,
-        ):
+        if policy not in NODE_POLICIES:
             raise ValueError("unknown node policy: {!r}".format(policy))
         self.policy = policy
         self.window_s = float(window_s)

@@ -1,9 +1,10 @@
 """Online virtual-cluster embedding of subscriber reservations onto RPNs.
 
-An extension beyond the paper (off by default): the paper's Gage
-scheduler assumes every RPN can serve every subscriber, which stops
-scaling once subscriber state (content, sessions, models) must actually
-*live* somewhere.  Gage's GRPS reservations are virtual-cluster
+An extension beyond the paper, on only when the caller passes an engine
+to ``PrimaryRDN(placement=...)`` or ``GageCluster(placement=...)``: the
+paper's Gage scheduler assumes every RPN can serve every subscriber,
+which stops scaling once subscriber state (content, sessions, models)
+must actually *live* somewhere.  Gage's GRPS reservations are virtual-cluster
 embeddings, so this layer follows the online-embedding-with-admission-
 control literature — "Opposites Attract: Virtual Cluster Embedding for
 Profit" (profit-driven accept/reject) and "Survivable and
@@ -26,8 +27,8 @@ Centers" (backup capacity reserved ahead of failures):
   single node death breaks **zero** guarantees when ``k >= 1``.
 
 The scheduler consults :meth:`PlacementEngine.allowed_nodes` per
-dispatch; with the policy off the engine is absent and dispatch is
-unrestricted — fixed-seed paper runs are untouched (golden digest).
+dispatch; without an engine (the paper's admit-everything model) dispatch
+is unrestricted — fixed-seed paper runs are untouched (golden digest).
 """
 
 from __future__ import annotations
@@ -35,17 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.config import (
-    PLACEMENT_OFF,
-    PLACEMENT_PROFIT,
-    PLACEMENT_UTILIZATION,
-)
 from repro.core.grps import GENERIC_REQUEST, ResourceVector
 from repro.core.subscriber import Subscriber
 from repro.telemetry.registry import get_registry
 
 __all__ = [
-    "PLACEMENT_OFF",
     "PLACEMENT_UTILIZATION",
     "PLACEMENT_PROFIT",
     "PlacementEngine",
@@ -56,6 +51,11 @@ __all__ = [
     "utilization_objective",
     "profit_objective",
 ]
+
+#: Built-in placement objectives: ``utilization`` packs best-fit;
+#: ``profit`` spreads and rejects marginal placements on nearly-full nodes.
+PLACEMENT_UTILIZATION = "utilization"
+PLACEMENT_PROFIT = "profit"
 
 #: The profit objective refuses placements that would push a node's
 #: dominant utilization past this fraction — the "marginal revenue no
@@ -240,7 +240,9 @@ class PlacementEngine:
         self._objective: Objective = (
             custom_objective if custom_objective is not None else _OBJECTIVES[objective]
         )
-        self._generic = generic
+        #: The resource cost of one generic request: the GRPS unit
+        #: reservations are converted with.
+        self.generic = generic
         #: rpn_id → node state, in registration order.
         self._nodes: Dict[str, _Node] = {}
         self._embeddings: Dict[str, Embedding] = {}
@@ -292,7 +294,7 @@ class PlacementEngine:
         name = subscriber.name
         if name in self._embeddings:
             raise RuntimeError("subscriber {!r} already placed".format(name))
-        demand = subscriber.reservation_vector(self._generic)
+        demand = subscriber.reservation_vector(self.generic)
         primary = self._choose_primary(demand, subscriber.reservation_grps)
         if primary is None:
             return self._reject(name)

@@ -22,8 +22,8 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.accounting import RDNAccounting
 from repro.core.classifier import PacketClass, RequestClassifier
-from repro.core.config import HEDGE_OFF, PLACEMENT_OFF, GageConfig
-from repro.core.conntable import ConnectionTable
+from repro.core.config import HEDGE_OFF, GageConfig
+from repro.core.conntable import LINGER_S, ConnectionTable
 from repro.core.control import (
     CONTROL_PAYLOAD_LEN,
     CONTROL_PORT,
@@ -50,7 +50,6 @@ from repro.core.queues import SubscriberQueues
 from repro.core.scheduler import RequestScheduler
 from repro.core.subscriber import Subscriber
 from repro.net.addresses import IPAddress, MACAddress
-from repro.net.arp import ArpReply, ArpRequest, _arp_frame
 from repro.net.conn import Quadruple
 from repro.net.nic import NIC
 from repro.net.packet import ACK_BIT, FIN_BIT, RST_BIT, SEQ_SPACE, SYN_ACK, Packet, TCPFlags
@@ -62,6 +61,14 @@ _TEARDOWN_BITS = FIN_BIT | RST_BIT
 from repro.sim.engine import Environment
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.registry import get_registry
+
+#: How long the primary waits for a secondary's ``HandshakeComplete``
+#: before emulating the handshake itself.
+DELEGATE_TIMEOUT_S = 0.25
+
+#: Consecutive delegation timeouts after which a secondary RDN leaves the
+#: delegation rotation until revived.
+SECONDARY_FAILURE_LIMIT = 2
 
 
 @dataclass
@@ -125,7 +132,13 @@ class PrimaryRDN:
         subscribers: List[Subscriber],
         host_map: Optional[Dict[str, str]] = None,
         isn_base: int = 900_000,
+        placement: Optional[PlacementEngine] = None,
     ) -> None:
+        if placement is not None and placement.generic != config.generic_request:
+            raise ValueError(
+                "placement engine's generic request {} differs from the "
+                "config's {}".format(placement.generic, config.generic_request)
+            )
         self.env = env
         self.config = config
         self.cluster_ip = cluster_ip
@@ -139,17 +152,11 @@ class PrimaryRDN:
         self.node_scheduler = NodeScheduler(
             policy=config.node_policy, window_s=config.dispatch_window_s
         )
-        #: The placement / admission-control layer (extension, off by
-        #: default): when on, subscribers are embedded onto a primary
-        #: RPN plus backup reservations, and dispatch follows the
-        #: embedding.
-        self.placement: Optional[PlacementEngine] = None
-        if config.placement_policy != PLACEMENT_OFF:
-            self.placement = PlacementEngine(
-                k_backup=config.placement_k_backup,
-                objective=config.placement_policy,
-                generic=config.generic_request,
-            )
+        #: The placement / admission-control layer (extension; ``None``
+        #: is the paper's admit-everything model): subscribers are
+        #: embedded onto a primary RPN plus backup reservations, and
+        #: dispatch follows the embedding.
+        self.placement = placement
         #: Subscribers awaiting embedding because no RPN had been
         #: registered yet when they arrived (constructor-time
         #: subscribers); drained by :meth:`add_rpn`.
@@ -194,7 +201,7 @@ class PrimaryRDN:
         self._next_secondary = 0
         self._delegated: Dict[Quadruple, _Delegation] = {}
         #: Consecutive delegation timeouts per secondary; reset on any
-        #: completed handshake, ejection at ``secondary_failure_limit``.
+        #: completed handshake, ejection at ``SECONDARY_FAILURE_LIMIT``.
         self._secondary_failures: Dict[MACAddress, int] = {}
         #: URL requests that raced ahead of their HandshakeComplete.
         self._awaiting_handshake: Dict[Quadruple, Packet] = {}
@@ -460,23 +467,6 @@ class PrimaryRDN:
                 self._on_handshake_complete(payload)
                 return
 
-            # The RDN owns the cluster's virtual IP at layer 2: it
-            # answers ARP for it so client traffic lands on the front end.
-            if isinstance(payload, ArpRequest):
-                if payload.target_ip == self.cluster_ip:
-                    self.nic.transmit(
-                        _arp_frame(
-                            self.nic.mac,
-                            payload.sender_mac,
-                            ArpReply(
-                                target_ip=self.cluster_ip, target_mac=self.nic.mac
-                            ),
-                        )
-                    )
-                return
-            if isinstance(payload, ArpReply):
-                return
-
         if packet.dst_ip != self.cluster_ip:
             return  # e.g. RPN->client traffic overheard in promiscuous mode
 
@@ -495,9 +485,7 @@ class PrimaryRDN:
             if packet.flags._value_ & _TEARDOWN_BITS:
                 # The client is tearing the connection down; keep the
                 # entry briefly for retransmissions, then reclaim it.
-                self.env.call_later(
-                    self.config.conntable_linger_s, self.conntable.remove, quad
-                )
+                self.env.call_later(LINGER_S, self.conntable.remove, quad)
             return
 
         self.ops.classifications += 1
@@ -589,7 +577,7 @@ class PrimaryRDN:
             )
             self._delegated[quad] = delegation
             self.env.call_later(
-                self.config.delegate_timeout_s, self._check_delegation, quad, target
+                DELEGATE_TIMEOUT_S, self._check_delegation, quad, target
             )
         order = DelegateHandshake(
             quad=quad, client_isn=packet.seq, client_mac=packet.src_mac
@@ -611,9 +599,9 @@ class PrimaryRDN:
     def _check_delegation(self, quad: Quadruple, mac: MACAddress) -> None:
         """Delegation timeout: the secondary never reported back.
 
-        Fires ``delegate_timeout_s`` after each delegation.  If the
+        Fires ``DELEGATE_TIMEOUT_S`` after each delegation.  If the
         handshake is still outstanding with the same secondary, the
-        secondary takes a strike (``secondary_failure_limit`` consecutive
+        secondary takes a strike (``SECONDARY_FAILURE_LIMIT`` consecutive
         strikes ejects it from the offload rotation) and the primary
         takes the handshake over itself — it beats the client's SYN
         retransmission, so the client sees nothing but a slower SYN-ACK.
@@ -625,7 +613,7 @@ class PrimaryRDN:
         self.failures.record(now, DELEGATE_TIMEOUT, str(mac))
         strikes = self._secondary_failures.get(mac, 0) + 1
         self._secondary_failures[mac] = strikes
-        if strikes >= self.config.secondary_failure_limit and mac in self._secondaries:
+        if strikes >= SECONDARY_FAILURE_LIMIT and mac in self._secondaries:
             self._secondaries.remove(mac)
             self.failures.record(now, SECONDARY_DOWN, str(mac), detail=float(strikes))
         del self._delegated[quad]

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.cluster.webserver import WebServer
+from repro.core.conntable import LINGER_S
 from repro.core.control import DispatchOrder
 from repro.core.feedback import AccountingMessage, RPNUsageReport
 from repro.core.grps import ResourceVector
@@ -63,16 +64,12 @@ class LocalServiceManager(FrameFilter):
         rpn_ip: IPAddress,
         rpn_mac: MACAddress,
         cluster_ip: IPAddress,
-        rule_linger_s: float = 2.0,
     ) -> None:
         self.env = env
         self.stack = stack
         self.rpn_ip = rpn_ip
         self.rpn_mac = rpn_mac
         self.cluster_ip = cluster_ip
-        #: How long a splice rule outlives its connection, so teardown
-        #: retransmissions still remap before the state is reclaimed.
-        self.rule_linger_s = rule_linger_s
         #: Splice rules keyed by the client-side quadruple (for inbound).
         self._rules_in: Dict[Quadruple, SpliceRule] = {}
         #: The same rules keyed by (client_ip, client_port) (for outbound).
@@ -161,9 +158,7 @@ class LocalServiceManager(FrameFilter):
         if conn is not None:
             quad = order.quad
             conn.closed.callbacks.append(
-                lambda _evt: self.env.call_later(
-                    self.rule_linger_s, self.forget, quad
-                )
+                lambda _evt: self.env.call_later(LINGER_S, self.forget, quad)
             )
         # Step 8: complete the local handshake with the client's ACK.
         ack = Packet(

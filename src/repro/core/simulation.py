@@ -27,6 +27,7 @@ from repro.core.feedback import AccountingMessage
 from repro.core.grps import ResourceVector
 from repro.core.hedge import ServiceHandle
 from repro.core.metrics import ServiceReport
+from repro.core.placement import PlacementEngine
 from repro.core.rdn import PrimaryRDN
 from repro.core.rpn import LocalServiceManager, RPNAccountingAgent
 from repro.core.secondary import SecondaryRDN
@@ -70,8 +71,8 @@ class GageCluster:
         flow_feedback_latency_s: float = 0.0002,
         rpn_overhead_cpu_s: float = 56.7e-6,
         stagger_accounting: bool = False,
-        dynamic_arp: bool = False,
         topology: Optional[ClusterTopology] = None,
+        placement: Optional[PlacementEngine] = None,
     ) -> None:
         if fidelity not in ("flow", "packet"):
             raise ValueError("fidelity must be 'flow' or 'packet'")
@@ -95,7 +96,9 @@ class GageCluster:
         self.cost_model = cost_model or CostModel()
         self.subscribers = list(subscribers)
         self.cluster_ip = IPAddress("10.0.0.100")
-        self.rdn = PrimaryRDN(env, self.config, self.cluster_ip, self.subscribers)
+        self.rdn = PrimaryRDN(
+            env, self.config, self.cluster_ip, self.subscribers, placement=placement
+        )
         self.machines: List[Machine] = []
         self.webservers: List[WebServer] = []
         self.agents: List[RPNAccountingAgent] = []
@@ -112,10 +115,6 @@ class GageCluster:
         #: reservation" at a 2 s cycle) implies in-phase reporting, so
         #: synchronized is the default; staggering is ablation A5.
         self.stagger_accounting = stagger_accounting
-        #: When True (packet mode), clients resolve the cluster VIP's MAC
-        #: with real ARP (the RDN answers for it) instead of static
-        #: entries.
-        self.dynamic_arp = dynamic_arp
         #: (time, host) of every completed request, across all RPNs.
         self.completions: List[Tuple[float, str]] = []
         #: (time, host, usage-in-GRPS) per completed request.
@@ -406,14 +405,7 @@ class GageCluster:
             )
             stack = HostStack(self.env, rpn_ip, nic)
             stack.default_mac = rdn_mac
-            lsm = LocalServiceManager(
-                self.env,
-                stack,
-                rpn_ip,
-                rpn_mac,
-                self.cluster_ip,
-                rule_linger_s=self.config.conntable_linger_s,
-            )
+            lsm = LocalServiceManager(self.env, stack, rpn_ip, rpn_mac, self.cluster_ip)
             stack.listen(80, server.acceptor)
             self.lsms.append(lsm)
             capacity = spec.capacity_per_s()
@@ -464,12 +456,7 @@ class GageCluster:
             stack = HostStack(
                 self.env, client_ip, nic, rto_s=0.5, max_retries=60
             )
-            if self.dynamic_arp:
-                from repro.net.arp import ArpService
-
-                stack.arp_service = ArpService(self.env, nic, client_ip)
-            else:
-                stack.arp[self.cluster_ip] = rdn_mac
+            stack.arp[self.cluster_ip] = rdn_mac
             client_stacks.append(stack)
         self.fleet = ClientFleet(self.env, client_stacks, self.cluster_ip)
 

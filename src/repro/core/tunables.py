@@ -1,12 +1,13 @@
 """The typed registry of Gage's tunable configuration knobs.
 
-Every scalar field of :class:`~repro.core.config.GageConfig` is declared
-here exactly once, with its type, legal range (or choice set), and a
-one-line doc string.  Sweeps, the search harness
+The registry is derived from :class:`~repro.core.config.GageConfig`: each
+field carries its kind, legal range (or choice set) and one-line doc as
+``dataclasses.field`` metadata, and this module turns every field into a
+:class:`Tunable`.  Sweeps, the search harness
 (:mod:`repro.harness.search`), and the generated knob-reference table in
-``docs/architecture.md`` all read this registry, so a new config field
-becomes sweepable, tunable, and documented by adding one declaration —
-the ROADMAP's "tuned, not guessed" contract.
+``docs/architecture.md`` all read the registry, so a new config field
+becomes sweepable, tunable, and documented by its one declaration.  A
+field without metadata fails at import.
 
 Deliberately excluded: ``generic_request``.  That field *defines* the
 GRPS unit every other number is measured in; "tuning" it would silently
@@ -21,17 +22,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union, cast
 
-from repro.core.config import GageConfig
+from repro.core.config import CHOICE, FLOAT, INT, GageConfig
 
 #: A knob value: every registered field is one of these.
 TunableValue = Union[None, int, float, str]
-
-#: Tunable kinds.
-FLOAT = "float"
-INT = "int"
-CHOICE = "choice"
 
 #: GageConfig fields deliberately absent from the registry (see module
 #: docstring for why each is excluded).
@@ -49,8 +45,7 @@ class Tunable:
     kind:
         ``"float"``, ``"int"``, or ``"choice"``.
     default:
-        The shipped default — must equal the dataclass default exactly
-        (pinned by ``tests/core/test_tunables.py``).
+        The shipped default: the dataclass field's default.
     doc:
         One-line description, rendered into the knob-reference table.
     lo, hi:
@@ -186,227 +181,27 @@ class Tunable:
 
 
 def _registry() -> Tuple[Tunable, ...]:
-    return (
-        Tunable(
-            "scheduling_cycle_s", FLOAT, 0.010,
-            "Request scheduler polling period (§3.4).",
-            lo=0.002, hi=0.05, log=True,
-        ),
-        Tunable(
-            "accounting_cycle_s", FLOAT, 0.100,
-            "RPN→RDN usage feedback period (§3.5); Figure 3's x-axis family.",
-            lo=0.02, hi=2.0, log=True,
-        ),
-        Tunable(
-            "credit_cap_cycles", FLOAT, 4.0,
-            "Cap on a queue's positive balance, in cycles of its refill.",
-            lo=1.0, hi=16.0,
-        ),
-        Tunable(
-            "dispatch_window_s", FLOAT, None,
-            "Predicted outstanding work allowed per RPN; `None` derives "
-            "max(0.25, 2.5 × accounting cycle).",
-            lo=0.05, hi=2.0, optional=True,
-        ),
-        Tunable(
-            "spare_policy", CHOICE, "reservation",
-            "Spare-capacity split (§4.1 / ablation A1).",
-            choices=("reservation", "input_load", "none"),
-        ),
-        Tunable(
-            "estimator_policy", CHOICE, "ewma",
-            "Per-request usage prediction (ablation A2).",
-            choices=("ewma", "last", "static"),
-        ),
-        Tunable(
-            "node_policy", CHOICE, "least_load",
-            "RPN selection (ablation A3; `locality` is §3.6).",
-            choices=("least_load", "round_robin", "random", "locality"),
-        ),
-        Tunable(
-            "estimator_alpha", FLOAT, 0.25,
-            "EWMA weight of the newest usage sample.",
-            lo=0.05, hi=1.0,
-        ),
-        Tunable(
-            "conntable_linger_s", FLOAT, 2.0,
-            "How long FIN/RST'd connection state lingers for retransmits.",
-            lo=0.0, hi=10.0,
-        ),
-        Tunable(
-            "heartbeat_miss_limit", INT, 3,
-            "Accounting cycles of silence before an RPN is declared dead; "
-            "`None` disables detection.",
-            lo=1, hi=10, optional=True,
-        ),
-        Tunable(
-            "delegate_timeout_s", FLOAT, 0.25,
-            "Primary's wait for a secondary's HandshakeComplete.",
-            lo=0.05, hi=2.0,
-        ),
-        Tunable(
-            "secondary_failure_limit", INT, 2,
-            "Consecutive delegation timeouts before a secondary is benched.",
-            lo=1, hi=8,
-        ),
-        Tunable(
-            "proxy_connect_timeout_s", FLOAT, 1.0,
-            "Backend connect bound on the real-socket front end.",
-            lo=0.1, hi=5.0,
-        ),
-        Tunable(
-            "proxy_response_timeout_s", FLOAT, 5.0,
-            "Backend response-head bound on the real-socket front end.",
-            lo=0.5, hi=30.0,
-        ),
-        Tunable(
-            "proxy_retry_backoff_s", FLOAT, 0.05,
-            "Base delay before retrying on an alternate backend (doubles).",
-            lo=0.0, hi=1.0,
-        ),
-        Tunable(
-            "proxy_failure_threshold", INT, 3,
-            "Consecutive failures before a backend is ejected.",
-            lo=1, hi=10,
-        ),
-        Tunable(
-            "proxy_probe_interval_s", FLOAT, 0.5,
-            "Probe period for re-admitting an ejected backend.",
-            lo=0.05, hi=5.0,
-        ),
-        Tunable(
-            "proxy_pool_size", INT, 8,
-            "Idle keep-alive connections kept per backend (0 disables).",
-            lo=0, hi=64,
-        ),
-        Tunable(
-            "proxy_pool_idle_s", FLOAT, 30.0,
-            "Idle lifetime of a pooled backend connection.",
-            lo=1.0, hi=120.0,
-        ),
-        Tunable(
-            "proxy_keepalive_idle_s", FLOAT, 15.0,
-            "Idle wait for the next request on a keep-alive client conn.",
-            lo=1.0, hi=60.0,
-        ),
-        Tunable(
-            "proxy_worker_miss_limit", INT, 3,
-            "Missed report cycles before the supervisor restarts a worker.",
-            lo=1, hi=10,
-        ),
-        Tunable(
-            "hedge_policy", CHOICE, "off",
-            "Tail-latency request cloning (extension; off preserves "
-            "paper fidelity).",
-            choices=("off", "fixed", "p95"),
-        ),
-        Tunable(
-            "hedge_delay_s", FLOAT, 0.050,
-            "Fixed hedge delay, and the p95 policy's cold-start fallback.",
-            lo=0.005, hi=0.5, log=True,
-        ),
-        Tunable(
-            "hedge_max_clones", INT, 1,
-            "Upper bound on extra copies per request.",
-            lo=1, hi=4,
-        ),
-        Tunable(
-            "proxy_retry_budget", INT, None,
-            "Token-bucket cap on proxy retries; `None` leaves them "
-            "unbudgeted.",
-            lo=0, hi=64, optional=True,
-        ),
-        Tunable(
-            "proxy_retry_budget_refill_per_s", FLOAT, 1.0,
-            "Retry tokens restored per second, up to the budget cap.",
-            lo=0.0, hi=50.0,
-        ),
-        Tunable(
-            "proxy_request_deadline_s", FLOAT, None,
-            "Per-request deadline from admission; `None` disables.",
-            lo=0.1, hi=30.0, optional=True,
-        ),
-        Tunable(
-            "placement_policy", CHOICE, "off",
-            "Online embedding + admission control (extension; off is the "
-            "paper's admit-everything model).",
-            choices=("off", "utilization", "profit"),
-        ),
-        Tunable(
-            "placement_k_backup", INT, 1,
-            "Backup RPNs reserved per placed subscriber.",
-            lo=0, hi=3,
-        ),
-    )
+    """One :class:`Tunable` per GageConfig field, from the field's metadata."""
+    knobs = []
+    for config_field in dataclass_fields(GageConfig):
+        if config_field.name in EXCLUDED_FIELDS:
+            continue
+        if not config_field.metadata:
+            raise TypeError(
+                "GageConfig.{} declares no tunable metadata".format(config_field.name)
+            )
+        knobs.append(
+            Tunable(
+                name=config_field.name,
+                default=cast(TunableValue, config_field.default),
+                **config_field.metadata,
+            )
+        )
+    return tuple(knobs)
 
 
 #: The registry, in GageConfig field order: name → declaration.
 REGISTRY: Dict[str, Tunable] = {tunable.name: tunable for tunable in _registry()}
-
-
-def _topology_registry() -> Tuple[Tunable, ...]:
-    """Knobs of :class:`repro.workload.topology.TopologyGenerator`.
-
-    These are cluster-shape parameters, not :class:`GageConfig` fields,
-    so they live in their own registry (and their own generated table)
-    rather than in :data:`REGISTRY` — the coverage test pins the main
-    registry to GageConfig exactly.  Defaults mirror the generator's
-    builder defaults and are pinned by ``tests/workload``.
-    """
-    return (
-        Tunable(
-            "num_rpns", INT, 8,
-            "Nodes in the generated cluster.",
-            lo=1, hi=1024,
-        ),
-        Tunable(
-            "avg_bandwidth_bps", FLOAT, 100e6,
-            "Mean per-node access-link bandwidth.",
-            lo=1e6, hi=10e9, log=True,
-        ),
-        Tunable(
-            "var_bandwidth_bps", FLOAT, 0.0,
-            "Gaussian spread of per-node link bandwidth (0 disables).",
-            lo=0.0, hi=1e9,
-        ),
-        Tunable(
-            "avg_latency_s", FLOAT, 20e-6,
-            "Mean per-node access-link latency.",
-            lo=0.0, hi=0.01,
-        ),
-        Tunable(
-            "var_latency_s", FLOAT, 0.0,
-            "Gaussian spread of per-node link latency (0 disables).",
-            lo=0.0, hi=0.01,
-        ),
-        Tunable(
-            "slow_link_fraction", FLOAT, 0.0,
-            "Fraction of nodes placed on a degraded access link.",
-            lo=0.0, hi=1.0,
-        ),
-        Tunable(
-            "slow_link_bandwidth_bps", FLOAT, 10e6,
-            "Bandwidth of the degraded links.",
-            lo=1e6, hi=1e9, log=True,
-        ),
-        Tunable(
-            "slow_link_latency_s", FLOAT, 100e-6,
-            "Latency of the degraded links.",
-            lo=0.0, hi=0.01,
-        ),
-        Tunable(
-            "num_switches", INT, 1,
-            "Switches in the fabric; nodes are striped round-robin and "
-            "leaves uplink to the root.",
-            lo=1, hi=64,
-        ),
-    )
-
-
-#: Generator-knob registry: name → declaration (see ``_topology_registry``).
-TOPOLOGY_REGISTRY: Dict[str, Tunable] = {
-    tunable.name: tunable for tunable in _topology_registry()
-}
 
 
 def registry() -> Mapping[str, Tunable]:
@@ -456,24 +251,18 @@ def config_field_names() -> Tuple[str, ...]:
 
 # -- the generated knob-reference table --------------------------------------
 
-#: Markers bounding the generated regions inside docs/architecture.md.
+#: Markers bounding the generated region inside docs/architecture.md.
 TABLE_BEGIN = "<!-- BEGIN GENERATED KNOB TABLE (python -m repro.core.tunables) -->"
 TABLE_END = "<!-- END GENERATED KNOB TABLE -->"
-TOPOLOGY_TABLE_BEGIN = (
-    "<!-- BEGIN GENERATED TOPOLOGY KNOB TABLE (python -m repro.core.tunables) -->"
-)
-TOPOLOGY_TABLE_END = "<!-- END GENERATED TOPOLOGY KNOB TABLE -->"
 
 
-def markdown_table(registry_map: Optional[Mapping[str, Tunable]] = None) -> str:
+def markdown_table() -> str:
     """The knob-reference table, one row per registered tunable."""
-    if registry_map is None:
-        registry_map = REGISTRY
     lines = [
         "| Knob | Kind | Default | Legal values | What it does |",
         "|---|---|---|---|---|",
     ]
-    for tunable in registry_map.values():
+    for tunable in REGISTRY.values():
         default = "`None`" if tunable.default is None else "`{!r}`".format(
             tunable.default
         )
@@ -489,38 +278,21 @@ def markdown_table(registry_map: Optional[Mapping[str, Tunable]] = None) -> str:
     return "\n".join(lines)
 
 
-def _replace_region(document: str, begin_marker: str, end_marker: str, table: str) -> str:
-    begin = document.find(begin_marker)
-    end = document.find(end_marker)
+def render_into(document: str) -> str:
+    """``document`` with the marked region replaced by the current table."""
+    begin = document.find(TABLE_BEGIN)
+    end = document.find(TABLE_END)
     if begin < 0 or end < 0 or end < begin:
         raise ValueError(
-            "document lacks the {} / {} markers".format(begin_marker, end_marker)
+            "document lacks the {} / {} markers".format(TABLE_BEGIN, TABLE_END)
         )
     return (
-        document[: begin + len(begin_marker)]
+        document[: begin + len(TABLE_BEGIN)]
         + "\n"
-        + table
+        + markdown_table()
         + "\n"
         + document[end:]
     )
-
-
-def render_into(document: str) -> str:
-    """``document`` with the marked region(s) replaced by the current tables.
-
-    The GageConfig knob table is mandatory; the topology-generator table
-    is rendered only where its markers are present, so standalone docs
-    with just the main markers keep working.
-    """
-    updated = _replace_region(document, TABLE_BEGIN, TABLE_END, markdown_table())
-    if TOPOLOGY_TABLE_BEGIN in updated:
-        updated = _replace_region(
-            updated,
-            TOPOLOGY_TABLE_BEGIN,
-            TOPOLOGY_TABLE_END,
-            markdown_table(TOPOLOGY_REGISTRY),
-        )
-    return updated
 
 
 def main(argv: Optional[Tuple[str, ...]] = None) -> int:

@@ -39,25 +39,6 @@ class Recorder:
         """The (time, value) samples of one gauge."""
         return self._series[name]
 
-    def names(self) -> List[str]:
-        """Registered gauge names."""
-        return list(self._gauges)
-
-    def latest(self, name: str) -> float:
-        """Most recent sample of a gauge (0.0 before any sample)."""
-        samples = self._series[name]
-        return samples[-1][1] if samples else 0.0
-
-    def mean(self, name: str, start_s: float = 0.0) -> float:
-        """Mean of a gauge's samples taken at or after ``start_s``."""
-        values = [v for t, v in self._series[name] if t >= start_s]
-        return sum(values) / len(values) if values else 0.0
-
-    def maximum(self, name: str, start_s: float = 0.0) -> float:
-        """Maximum of a gauge's samples taken at or after ``start_s``."""
-        values = [v for t, v in self._series[name] if t >= start_s]
-        return max(values) if values else 0.0
-
     def _loop(self):
         while True:
             yield self.env.timeout(self.period_s)

@@ -15,7 +15,6 @@ local service manager live (see :mod:`repro.core`).
 """
 
 from repro.net.addresses import IPAddress, MACAddress
-from repro.net.arp import ArpError, ArpReply, ArpRequest, ArpService
 from repro.net.conn import Quadruple
 from repro.net.link import Interface
 from repro.net.nic import NIC, FrameFilter
@@ -26,10 +25,6 @@ from repro.net.tcp import Connection, HostStack, TCPState
 from repro.net.tracer import CapturedPacket, PacketTracer
 
 __all__ = [
-    "ArpError",
-    "ArpReply",
-    "ArpRequest",
-    "ArpService",
     "CapturedPacket",
     "Connection",
     "ETH_IP_TCP_HEADER_LEN",

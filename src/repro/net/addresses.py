@@ -89,17 +89,6 @@ class IPAddress:
     def __repr__(self) -> str:
         return "IPAddress({!r})".format(str(self))
 
-    def packed(self) -> bytes:
-        """The 4-byte big-endian wire form."""
-        return self._value.to_bytes(4, "big")
-
-    @classmethod
-    def from_packed(cls, data: bytes) -> "IPAddress":
-        """Parse the 4-byte big-endian wire form."""
-        if len(data) != 4:
-            raise ValueError("IPv4 wire form must be 4 bytes")
-        return cls(int.from_bytes(data, "big"))
-
 
 class MACAddress:
     """An Ethernet (EUI-48) address."""
@@ -147,17 +136,6 @@ class MACAddress:
 
     def __repr__(self) -> str:
         return "MACAddress({!r})".format(str(self))
-
-    def packed(self) -> bytes:
-        """The 6-byte wire form."""
-        return self._value.to_bytes(6, "big")
-
-    @classmethod
-    def from_packed(cls, data: bytes) -> "MACAddress":
-        """Parse the 6-byte wire form."""
-        if len(data) != 6:
-            raise ValueError("MAC wire form must be 6 bytes")
-        return cls(int.from_bytes(data, "big"))
 
     @classmethod
     def broadcast(cls) -> "MACAddress":

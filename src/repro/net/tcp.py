@@ -14,7 +14,7 @@ Gage operates above TCP's transmission policy.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro.net.addresses import IPAddress, MACAddress
 from repro.net.conn import Quadruple
@@ -411,12 +411,6 @@ class HostStack:
         #: Static ARP table; unknown destinations go to ``default_mac``.
         self.arp: Dict[IPAddress, MACAddress] = {}
         self.default_mac: Optional[MACAddress] = None
-        #: Optional dynamic resolver (see :mod:`repro.net.arp`): frames
-        #: whose destination MAC could not be determined statically are
-        #: resolved on the wire instead of broadcast.  Typed ``Any``: the
-        #: resolver is assigned from outside and only has to provide
-        #: ``send_resolved(packet)``.
-        self.arp_service: Optional[Any] = None
         self._conns: Dict[Quadruple, Connection] = {}
         self._listeners: Dict[int, Acceptor] = {}
         self._filter: Optional["FrameFilter"] = None
@@ -581,9 +575,6 @@ class HostStack:
             if filtered is None:
                 return
             packet = filtered
-        if packet.dst_mac.is_broadcast and self.arp_service is not None:
-            self.arp_service.send_resolved(packet)
-            return
         self.nic.transmit(packet)
 
     def _arm_retransmit(self, conn: Connection, packet: Packet) -> None:

@@ -21,6 +21,10 @@ from repro.core.metrics import REQUEST_SHED
 from repro.proxy.http import HTTPError, HTTPRequestHead, read_request_head
 from repro.proxy.splice import tune_transport
 
+#: How long the front end waits for the next request on an idle
+#: keep-alive client connection before closing it.
+KEEPALIVE_IDLE_S = 15.0
+
 
 @dataclass
 class _PendingConnection:
@@ -31,7 +35,7 @@ class _PendingConnection:
     writer: asyncio.StreamWriter
     subscriber: str
     #: Loop-clock time the request entered its subscriber queue; the
-    #: per-request deadline (``proxy_request_deadline_s``) counts from
+    #: per-request deadline (``ProxyConfig.request_deadline_s``) counts from
     #: here, so time spent queued behind the WRR gate is included.
     enqueued_at: float = 0.0
 
@@ -61,7 +65,7 @@ class ClientSessionMixin:
 
     Relies on attributes the concrete proxy constructs: ``stats``,
     ``classifier``, ``queues``, ``node_scheduler``, ``failures``,
-    ``config``, ``_tasks``, ``_tm_shed``, ``_tm_accepts``, and
+    ``proxy_config``, ``_tasks``, ``_tm_shed``, ``_tm_accepts``, and
     ``_now()``.
     """
 
@@ -132,7 +136,7 @@ class ClientSessionMixin:
         try:
             head = await asyncio.wait_for(
                 read_request_head(reader),
-                timeout=self.config.proxy_keepalive_idle_s,
+                timeout=KEEPALIVE_IDLE_S,
             )
         except (
             asyncio.TimeoutError,
@@ -190,4 +194,4 @@ class ClientSessionMixin:
 
     def _retry_after_s(self) -> int:
         """When a shed client should retry: one probe interval, >= 1 s."""
-        return max(1, int(math.ceil(self.config.proxy_probe_interval_s)))
+        return max(1, int(math.ceil(self.proxy_config.probe_interval_s)))

@@ -40,7 +40,7 @@ from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.accounting import RDNAccounting
 from repro.core.classifier import RequestClassifier
-from repro.core.config import HEDGE_OFF, GageConfig
+from repro.core.config import HEDGE_OFF, GageConfig, ProxyConfig
 from repro.core.feedback import AccountingMessage, RPNUsageReport
 from repro.core.hedge import HedgeHooks, HedgeManager
 from repro.core.metrics import (
@@ -149,10 +149,13 @@ class GageProxy(ClientSessionMixin):
         host: str = "127.0.0.1",
         backend_capacity: ResourceVector = DEFAULT_BACKEND_CAPACITY,
         worker_id: int = 0,
+        proxy_config: Optional[ProxyConfig] = None,
     ) -> None:
         if not backends:
             raise ValueError("need at least one backend")
         self.config = config or GageConfig()
+        #: Backend failure handling: timeouts, ejection, retries, deadlines.
+        self.proxy_config = proxy_config or ProxyConfig()
         self.host = host
         #: Which SO_REUSEPORT worker this proxy instance is (0 for a
         #: standalone single-process proxy); labels the accept counter
@@ -186,14 +189,11 @@ class GageProxy(ClientSessionMixin):
             backend_id: {} for backend_id in backends
         }
         #: Idle keep-alive sockets to each backend, reused across requests.
-        self.pool = BackendPool(
-            size_per_backend=self.config.proxy_pool_size,
-            idle_timeout_s=self.config.proxy_pool_idle_s,
-        )
+        self.pool = BackendPool()
         #: Ejection/re-admission/shedding ledger (loop-clock timestamps).
         self.failures = FailureLog()
         #: Consecutive failures per backend; any success resets to zero,
-        #: ``proxy_failure_threshold`` in a row ejects the backend.
+        #: ``failure_threshold`` in a row ejects the backend.
         self._consecutive_failures: Dict[str, int] = {
             backend_id: 0 for backend_id in backends
         }
@@ -209,7 +209,7 @@ class GageProxy(ClientSessionMixin):
         #: Refilled by the scheduler loop at the configured rate; a
         #: retry that finds the bucket empty is skipped, so retries plus
         #: hedges cannot storm a degraded backend.
-        budget = self.config.proxy_retry_budget
+        budget = self.proxy_config.retry_budget
         self._retry_tokens: Optional[float] = None if budget is None else float(budget)
         #: Seeded source of backoff jitter — deterministic under test.
         self._retry_rng = random.Random(0x9A9E)
@@ -290,9 +290,9 @@ class GageProxy(ClientSessionMixin):
             await asyncio.sleep(self.config.scheduling_cycle_s)
             if self._retry_tokens is not None:
                 self._retry_tokens = min(
-                    float(self.config.proxy_retry_budget or 0),
+                    float(self.proxy_config.retry_budget or 0),
                     self._retry_tokens
-                    + self.config.proxy_retry_budget_refill_per_s
+                    + self.proxy_config.retry_budget_refill_per_s
                     * self.config.scheduling_cycle_s,
                 )
             self.scheduler.run_cycle()
@@ -378,7 +378,7 @@ class GageProxy(ClientSessionMixin):
         connect_started = self._now()
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(*self.backends[backend_id]),
-            timeout=self.config.proxy_connect_timeout_s,
+            timeout=self.proxy_config.connect_timeout_s,
         )
         self._tm_connect_latency.observe(self._now() - connect_started)
         tune_transport(writer.transport)
@@ -466,7 +466,7 @@ class GageProxy(ClientSessionMixin):
         if remaining is not None and remaining <= 0:
             await self._expire(pending, backend_id, subscriber)
             return
-        response_timeout = self.config.proxy_response_timeout_s
+        response_timeout = self.proxy_config.response_timeout_s
         if remaining is not None:
             response_timeout = min(response_timeout, remaining)
         head = pending.head
@@ -517,7 +517,7 @@ class GageProxy(ClientSessionMixin):
                     # instead of hammering the alternate in lockstep.
                     await asyncio.sleep(
                         self._retry_rng.uniform(
-                            0.0, self.config.proxy_retry_backoff_s * (2 ** attempt)
+                            0.0, self.proxy_config.retry_backoff_s * (2 ** attempt)
                         )
                     )
                     current = alternate
@@ -600,7 +600,7 @@ class GageProxy(ClientSessionMixin):
 
     def _deadline_remaining(self, pending: _PendingConnection) -> Optional[float]:
         """Seconds left before this request's deadline (None = no deadline)."""
-        deadline = self.config.proxy_request_deadline_s
+        deadline = self.proxy_config.request_deadline_s
         if deadline is None:
             return None
         return deadline - (self._now() - pending.enqueued_at)
@@ -700,7 +700,7 @@ class GageProxy(ClientSessionMixin):
         try:
             await asyncio.wait_for(
                 self._discard_body(reader, response.content_length),
-                timeout=self.config.proxy_response_timeout_s,
+                timeout=self.proxy_config.response_timeout_s,
             )
         except (ConnectionError, asyncio.IncompleteReadError, asyncio.TimeoutError):
             writer.close()
@@ -747,7 +747,7 @@ class GageProxy(ClientSessionMixin):
         if (
             status is not None
             and status.up
-            and count >= self.config.proxy_failure_threshold
+            and count >= self.proxy_config.failure_threshold
         ):
             now = self._now()
             self.node_scheduler.mark_down(backend_id, at_s=now)
@@ -765,11 +765,11 @@ class GageProxy(ClientSessionMixin):
         host, port = self.backends[backend_id]
         try:
             while not self._stopping:
-                await asyncio.sleep(self.config.proxy_probe_interval_s)
+                await asyncio.sleep(self.proxy_config.probe_interval_s)
                 try:
                     reader, writer = await asyncio.wait_for(
                         asyncio.open_connection(host, port),
-                        timeout=self.config.proxy_connect_timeout_s,
+                        timeout=self.proxy_config.connect_timeout_s,
                     )
                 except (OSError, asyncio.TimeoutError):
                     continue

@@ -18,7 +18,7 @@ credit scheduling:
   (level 2) and answers with **grants**, so credit a subscriber is not
   using on one worker chases its backlog on another and the *global*
   per-subscriber GRPS guarantee holds under connection-level skew;
-- a worker that misses ``proxy_worker_miss_limit`` consecutive
+- a worker that misses ``WORKER_MISS_LIMIT`` consecutive
   accounting cycles (crashed, wedged, or killed) is restarted; its
   last-reported credit balances are reclaimed into the allocator's carry
   pool and re-granted to the surviving shards, so the guarantee is
@@ -46,7 +46,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.config import GageConfig
+from repro.core.config import GageConfig, ProxyConfig
 from repro.core.shard import GlobalAllocator, ShardCreditReport
 from repro.core.subscriber import Subscriber
 from repro.proxy.frontend import DEFAULT_BACKEND_CAPACITY, GageProxy
@@ -58,6 +58,11 @@ from repro.telemetry.registry import get_registry
 #: before the supervisor declares the spawn failed (interpreter start +
 #: module import dominate; generous so slow CI boxes don't flap).
 SPAWN_GRACE_S = 15.0
+
+#: Consecutive accounting cycles a worker may miss reporting on the
+#: control channel before the supervisor declares it dead, reclaims its
+#: credit and restarts it.
+WORKER_MISS_LIMIT = 3
 
 
 def _vec_to_list(vec: ResourceVector) -> List[float]:
@@ -137,6 +142,7 @@ class WorkerSpec:
     config: GageConfig
     #: Already scaled to ``capacity / N`` by the supervisor.
     backend_capacity: ResourceVector
+    proxy_config: ProxyConfig = ProxyConfig()
 
 
 # -- the worker process ------------------------------------------------------
@@ -175,6 +181,7 @@ async def _worker_async(spec: WorkerSpec) -> None:
         host=spec.host,
         backend_capacity=spec.backend_capacity,
         worker_id=spec.worker_id,
+        proxy_config=spec.proxy_config,
     )
     sock = _reuseport_socket(spec.host, spec.port, listen=True)
     await proxy.start(sock=sock)
@@ -267,12 +274,14 @@ class WorkerSupervisor:
         host: str = "127.0.0.1",
         workers: int = 2,
         backend_capacity: ResourceVector = DEFAULT_BACKEND_CAPACITY,
+        proxy_config: Optional[ProxyConfig] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
         if not backends:
             raise ValueError("need at least one backend")
         self.config = config if config is not None else GageConfig()
+        self.proxy_config = proxy_config or ProxyConfig()
         self.host = host
         self.workers = workers
         self.port: Optional[int] = None
@@ -430,6 +439,7 @@ class WorkerSupervisor:
             subscribers=self._worker_subscribers,
             backends=tuple(sorted(self.backends.items())),
             config=self.config,
+            proxy_config=self.proxy_config,
             backend_capacity=self._worker_capacity,
         )
         spec_path = os.path.join(
@@ -501,7 +511,7 @@ class WorkerSupervisor:
     def _is_dead(self, state: _WorkerState, now: float) -> bool:
         if state.process is None or state.process.poll() is not None:
             return True
-        limit = self.config.proxy_worker_miss_limit * self.config.accounting_cycle_s
+        limit = WORKER_MISS_LIMIT * self.config.accounting_cycle_s
         if state.last_report_at is not None:
             return now - state.last_report_at > limit
         # Never reported: allow interpreter start-up before flagging.

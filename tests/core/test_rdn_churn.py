@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import GageConfig, PrimaryRDN, Subscriber
+from repro.core import GageConfig, PlacementEngine, PrimaryRDN, Subscriber
 from repro.core.grps import ResourceVector
 from repro.core.simulation import default_rpn_capacity
 from repro.net import IPAddress, MACAddress, NIC, Switch
@@ -15,12 +15,13 @@ RPN_MAC = MACAddress("02:00:00:00:01:01")
 RPN_IP = IPAddress("10.0.1.1")
 
 
-def build_rdn(env, subscribers=None, config=None, rpns=1):
+def build_rdn(env, subscribers=None, config=None, rpns=1, placement=None):
     rdn = PrimaryRDN(
         env,
         config or GageConfig(),
         CLUSTER_IP,
         subscribers if subscribers is not None else [Subscriber("site1", 100)],
+        placement=placement,
     )
     switch = Switch(env, ports=4)
     nic = NIC(env, RDN_MAC, name="rdn.eth0")
@@ -101,9 +102,16 @@ def test_id_reuse_after_churn():
 # -- with the placement layer on ---------------------------------------------
 
 
-def placement_config(**overrides):
-    overrides.setdefault("placement_k_backup", 0)
-    return GageConfig(placement_policy="utilization", **overrides)
+def test_placement_engine_must_measure_in_the_config_generic_request():
+    env = Environment()
+    config = GageConfig()
+    other_unit = config.generic_request.scaled(2.0)
+    with pytest.raises(ValueError, match="generic request"):
+        build_rdn(env, config=config, placement=PlacementEngine(generic=other_unit))
+    rdn = build_rdn(
+        env, config=config, placement=PlacementEngine(generic=config.generic_request)
+    )
+    assert rdn.placement is not None
 
 
 def test_constructor_subscribers_placed_when_first_rpn_joins():
@@ -111,7 +119,7 @@ def test_constructor_subscribers_placed_when_first_rpn_joins():
     rdn = build_rdn(
         env,
         subscribers=[Subscriber("site1", 50)],
-        config=placement_config(),
+        placement=PlacementEngine(k_backup=0),
         rpns=1,
     )
     assert rdn.placement is not None
@@ -124,7 +132,7 @@ def test_admission_rejects_unplaceable_reservation():
     # One 100-GRPS node, 80 already reserved: a 50-GRPS newcomer must be
     # rejected and leave no trace in queues/accounting/classifier.
     rdn = build_rdn(
-        env, subscribers=[Subscriber("site1", 80)], config=placement_config()
+        env, subscribers=[Subscriber("site1", 80)], placement=PlacementEngine(k_backup=0)
     )
     assert not rdn.register_subscriber(Subscriber("greedy", reservation_grps=50))
     assert "greedy" not in rdn.queues
@@ -140,7 +148,7 @@ def test_rejected_constructor_subscriber_retries_on_new_node():
     rdn = build_rdn(
         env,
         subscribers=[Subscriber("big1", 80), Subscriber("big2", 80)],
-        config=placement_config(),
+        placement=PlacementEngine(k_backup=0),
         rpns=1,
     )
     # Only one fits on the single 100-GRPS node; the other stays deferred.
@@ -157,7 +165,7 @@ def test_node_death_promotes_embedding_with_backup():
     rdn = build_rdn(
         env,
         subscribers=[Subscriber("site1", 50)],
-        config=placement_config(placement_k_backup=1),
+        placement=PlacementEngine(k_backup=1),
         rpns=2,
     )
     embedding = rdn.placement.embedding_of("site1")
@@ -170,7 +178,7 @@ def test_node_death_promotes_embedding_with_backup():
 def test_deregister_releases_embedded_capacity():
     env = Environment()
     rdn = build_rdn(
-        env, subscribers=[Subscriber("site1", 80)], config=placement_config()
+        env, subscribers=[Subscriber("site1", 80)], placement=PlacementEngine(k_backup=0)
     )
     assert not rdn.register_subscriber(Subscriber("late", reservation_grps=50))
     assert rdn.deregister_subscriber("site1")

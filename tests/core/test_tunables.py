@@ -1,6 +1,7 @@
 """The tunable registry stays consistent with GageConfig and the docs."""
 
 import random
+import re
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -9,8 +10,13 @@ import pytest
 from repro.core import tunables
 from repro.core.config import GageConfig
 from repro.core.tunables import Tunable
+from repro.harness import search
 
-DOCS = Path(__file__).resolve().parents[2] / "docs" / "architecture.md"
+ROOT = Path(__file__).resolve().parents[2]
+DOCS = ROOT / "docs" / "architecture.md"
+
+#: Where a config field's setter may live, outside the library itself.
+SETTER_DIRS = ("bench", "benchmarks", "scripts", "examples", "configs")
 
 
 def test_registry_covers_every_config_field():
@@ -23,6 +29,24 @@ def test_registry_covers_every_config_field():
     stray = declared - config_fields
     assert not stray, "tunables without a GageConfig field: {}".format(sorted(stray))
     assert tunables.EXCLUDED_FIELDS == {"generic_request"}
+
+
+def test_every_config_field_has_a_setter():
+    """A GageConfig field stays only if an entry point or a search sets it."""
+    text = "\n".join(
+        path.read_text()
+        for directory in SETTER_DIRS
+        for path in sorted((ROOT / directory).rglob("*"))
+        if path.suffix in (".py", ".json", ".jsonl")
+    )
+    searched = {name for space in search.SPACES.values() for name in space.names()}
+    unset = [
+        field.name
+        for field in dataclass_fields(GageConfig)
+        if field.name not in searched
+        and not re.search(r"\b{}\b".format(field.name), text)
+    ]
+    assert not unset, "GageConfig fields nothing sets: {}".format(unset)
 
 
 def test_registry_defaults_match_dataclass_defaults():
@@ -108,7 +132,7 @@ def test_render_into_requires_markers():
 def test_cli_prints_table(capsys):
     assert tunables.main(()) == 0
     out = capsys.readouterr().out
-    assert "`scheduling_cycle_s`" in out and "`placement_k_backup`" in out
+    assert "`scheduling_cycle_s`" in out and "`hedge_max_clones`" in out
 
 
 def test_cli_update_roundtrip(tmp_path, capsys):

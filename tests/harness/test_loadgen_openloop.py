@@ -12,7 +12,7 @@ import asyncio
 
 import pytest
 
-from repro.core import GageConfig, Subscriber
+from repro.core import GageConfig, ProxyConfig, Subscriber
 from repro.harness.loadgen import open_loop
 from repro.proxy import BackendServer, GageProxy
 
@@ -84,8 +84,8 @@ def test_open_loop_through_hedging_proxy_has_no_duplicate_samples():
                 hedge_policy="fixed",
                 hedge_delay_s=0.05,
                 scheduling_cycle_s=0.005,
-                proxy_failure_threshold=100,
             ),
+            proxy_config=ProxyConfig(failure_threshold=100),
         )
         proxy_port = await proxy.start()
         result = await open_loop(

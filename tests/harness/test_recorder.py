@@ -31,10 +31,13 @@ def test_recorder_statistics():
     values = iter([10.0, 20.0, 30.0, 40.0])
     recorder.add_gauge("v", lambda: next(values))
     env.run(until=4.5)
-    assert recorder.latest("v") == 40.0
-    assert recorder.mean("v") == pytest.approx(25.0)
-    assert recorder.mean("v", start_s=2.5) == pytest.approx(35.0)
-    assert recorder.maximum("v") == 40.0
+    samples = recorder.series("v")
+    assert samples[-1] == (pytest.approx(4.0), 40.0)
+    values = [v for _t, v in samples]
+    assert sum(values) / len(values) == pytest.approx(25.0)
+    late = [v for t, v in samples if t >= 2.5]
+    assert sum(late) / len(late) == pytest.approx(35.0)
+    assert max(values) == 40.0
 
 
 def test_recorder_validation():
@@ -45,8 +48,7 @@ def test_recorder_validation():
     recorder.add_gauge("x", lambda: 1.0)
     with pytest.raises(RuntimeError):
         recorder.add_gauge("x", lambda: 2.0)
-    assert recorder.names() == ["x"]
-    assert recorder.latest("x") == 0.0  # no samples yet
+    assert recorder.series("x") == []  # no samples yet
 
 
 def test_recorder_watches_cluster_queues():
@@ -66,5 +68,6 @@ def test_recorder_watches_cluster_queues():
     cluster.load_trace(workload.generate())
     cluster.run(4.0)
     # The queue grows while input (150/s) exceeds service (~100/s max).
-    assert recorder.maximum("qlen") > recorder.series("qlen")[0][1]
-    assert recorder.maximum("qlen") > 20
+    depths = [v for _t, v in recorder.series("qlen")]
+    assert max(depths) > depths[0]
+    assert max(depths) > 20

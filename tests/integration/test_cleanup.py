@@ -1,11 +1,11 @@
 """Tests that per-connection state is reclaimed after teardown."""
 
-from repro.core import GageCluster, GageConfig, Subscriber
+from repro.core import GageCluster, Subscriber
 from repro.sim import Environment
 from repro.workload import SyntheticWorkload
 
 
-def build(env, linger=0.5, rate=20.0, duration=2.0):
+def build(env, rate=20.0, duration=2.0):
     subs = [Subscriber("a", 100)]
     workload = SyntheticWorkload(rates={"a": rate}, duration_s=duration, file_bytes=2000)
     cluster = GageCluster(
@@ -14,7 +14,6 @@ def build(env, linger=0.5, rate=20.0, duration=2.0):
         {"a": workload.site_files("a")},
         num_rpns=2,
         fidelity="packet",
-        config=GageConfig(conntable_linger_s=linger),
     )
     cluster.load_trace(workload.generate())
     return cluster
@@ -22,7 +21,7 @@ def build(env, linger=0.5, rate=20.0, duration=2.0):
 
 def test_conntable_entries_reclaimed_after_linger():
     env = Environment()
-    cluster = build(env, linger=0.5)
+    cluster = build(env)
     cluster.run(2.2)
     mid_size = len(cluster.rdn.conntable)
     assert mid_size > 0  # recent connections still lingering
@@ -33,7 +32,7 @@ def test_conntable_entries_reclaimed_after_linger():
 
 def test_splice_rules_reclaimed_after_linger():
     env = Environment()
-    cluster = build(env, linger=0.5)
+    cluster = build(env)
     cluster.run(6.0)
     for lsm in cluster.lsms:
         assert lsm._rules_in == {}
@@ -45,7 +44,7 @@ def test_splice_rules_reclaimed_after_linger():
 
 def test_state_survives_while_connections_active():
     env = Environment()
-    cluster = build(env, linger=5.0, rate=30.0, duration=3.0)
+    cluster = build(env, rate=30.0, duration=3.0)
     cluster.run(1.5)
     # Mid-run: active + lingering state present and service unbroken.
     assert len(cluster.rdn.conntable) > 0

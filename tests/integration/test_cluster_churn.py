@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import GageCluster, GageConfig, Subscriber
+from repro.core import GageCluster, PlacementEngine, Subscriber
 from repro.sim import Environment
 from repro.workload import SyntheticWorkload
 
@@ -22,13 +22,13 @@ def _shifted(records, offset_s):
     return [dataclasses.replace(r, at_s=r.at_s + offset_s) for r in records]
 
 
-def build_cluster(env, subscribers, rates, duration=6.0, num_rpns=4, config=None,
+def build_cluster(env, subscribers, rates, duration=6.0, num_rpns=4, placement=None,
                   extra_sites=()):
     workload = SyntheticWorkload(rates=rates, duration_s=duration, file_bytes=2000)
     hosts = list(rates) + list(extra_sites)
     site_files = {name: workload.site_files(name) for name in hosts}
     cluster = GageCluster(
-        env, subscribers, site_files, num_rpns=num_rpns, config=config,
+        env, subscribers, site_files, num_rpns=num_rpns, placement=placement,
         fidelity="flow",
     )
     cluster.load_trace(workload.generate())
@@ -58,21 +58,20 @@ def test_mid_run_join_does_not_starve_colocated_subscriber():
     """The regression: with placement restricting dispatch to one node, a
     joiner sharing that node must not poison its outstanding-load window."""
     env = Environment()
-    config = GageConfig(placement_policy="utilization", placement_k_backup=1)
+    placement = PlacementEngine(k_backup=1)
     subs = [
         Subscriber("gold", reservation_grps=80, queue_capacity=256),
         Subscriber("silver", reservation_grps=60, queue_capacity=256),
     ]
     cluster, site_files = build_cluster(
         env, subs, {"gold": 75.0, "silver": 55.0}, duration=8.0,
-        config=config, extra_sites=("late",)
+        placement=placement, extra_sites=("late",)
     )
     cluster.run(2.0)
 
     late = Subscriber("late", reservation_grps=40, queue_capacity=256)
     cluster.add_subscriber(late, files=site_files["late"])
-    placement = cluster.rdn.placement
-    assert placement is not None
+    assert cluster.rdn.placement is placement
     assert len(placement.allowed_nodes("late")) == 1
     late_load = SyntheticWorkload(rates={"late": 35.0}, duration_s=6.0, file_bytes=2000)
     cluster.load_trace(_shifted(late_load.generate(), 2.0))

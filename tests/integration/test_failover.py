@@ -150,7 +150,7 @@ def test_detection_records_node_down_event(failover):
 def test_dead_secondary_times_out_and_primary_takes_over():
     """A crashed secondary RDN answers no DelegateHandshake orders: each
     delegation times out, the primary emulates the handshake itself,
-    and after ``secondary_failure_limit`` consecutive timeouts the
+    and after ``SECONDARY_FAILURE_LIMIT`` (2) consecutive timeouts the
     secondary leaves the rotation — until revived."""
     env = Environment()
     subs = [Subscriber("a", 100, queue_capacity=256)]
@@ -162,7 +162,6 @@ def test_dead_secondary_times_out_and_primary_takes_over():
         num_rpns=2,
         fidelity="packet",
         num_secondaries=1,
-        config=GageConfig(secondary_failure_limit=2),
     )
     cluster.load_trace(workload.generate())
     cluster.install_faults(

@@ -70,9 +70,6 @@ class ReferenceIP:
     def __hash__(self):
         return hash(("ip", self._value))
 
-    def packed(self):
-        return self._value.to_bytes(4, "big")
-
 
 class ReferenceMAC:
     """``MACAddress`` before interning (without its parse memo)."""
@@ -107,9 +104,6 @@ class ReferenceMAC:
     @property
     def is_broadcast(self):
         return self._value == self.BROADCAST_INT
-
-    def packed(self):
-        return self._value.to_bytes(6, "big")
 
 
 def outcome(cls, address):
@@ -200,7 +194,7 @@ def check_against_reference(cls, reference, pair, trip, extra):
             assert got == ref  # same error type and message
         else:
             assert type(got) is cls
-            assert (str(got), int(got), got.packed()) == (str(ref), int(ref), ref.packed())
+            assert (str(got), int(got)) == (str(ref), int(ref))
             assert [getattr(got, name) for name in extra] == [getattr(ref, name) for name in extra]
     if isinstance(ref_left, tuple) or isinstance(ref_right, tuple):
         return
@@ -225,7 +219,6 @@ def test_interned_mac_is_identity_exactly_where_the_reference_is_equal(pair, tri
 def test_spellings_of_one_value_are_one_instance():
     assert IPAddress("010.000.000.001") is IPAddress("10.0.0.1") is IPAddress(0x0A000001)
     assert MACAddress("FF:FF:FF:FF:FF:FF") is MACAddress.broadcast()
-    assert IPAddress.from_packed(IPAddress("10.0.0.7").packed()) is IPAddress("10.0.0.7")
     assert IPAddress(0x0A000001) is not IPAddress(0x0A000002)
 
 

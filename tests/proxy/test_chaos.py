@@ -15,7 +15,7 @@ within a bounded time — never a silent hang.
 import asyncio
 import socket
 
-from repro.core import GageConfig, Subscriber
+from repro.core import ProxyConfig, Subscriber
 from repro.core.metrics import BACKEND_EJECTED, BACKEND_READMITTED
 from repro.proxy import BackendServer, GageProxy
 from repro.proxy.http import read_response_head
@@ -25,14 +25,14 @@ SITES = {"a.com": {"/index.html": 500}}
 
 def chaos_config(**overrides):
     defaults = dict(
-        proxy_connect_timeout_s=0.2,
-        proxy_response_timeout_s=0.25,
-        proxy_retry_backoff_s=0.01,
-        proxy_failure_threshold=2,
-        proxy_probe_interval_s=0.1,
+        connect_timeout_s=0.2,
+        response_timeout_s=0.25,
+        retry_backoff_s=0.01,
+        failure_threshold=2,
+        probe_interval_s=0.1,
     )
     defaults.update(overrides)
-    return GageConfig(**defaults)
+    return ProxyConfig(**defaults)
 
 
 def free_port() -> int:
@@ -86,7 +86,7 @@ def test_hanging_backend_gets_504_within_timeout():
         proxy = GageProxy(
             [Subscriber("a.com", 1000)],
             {"wedged": ("127.0.0.1", port)},
-            config=chaos_config(proxy_failure_threshold=100),
+            proxy_config=chaos_config(failure_threshold=100),
         )
         proxy_port = await proxy.start()
         head, _body = await _get(proxy_port, "a.com", timeout=3.0)
@@ -108,7 +108,7 @@ def test_refusing_backend_502_then_ejection_then_shedding():
         proxy = GageProxy(
             [Subscriber("a.com", 1000)],
             {"gone": ("127.0.0.1", port)},
-            config=chaos_config(proxy_failure_threshold=2),
+            proxy_config=chaos_config(failure_threshold=2),
         )
         proxy_port = await proxy.start()
         statuses = []
@@ -141,7 +141,7 @@ def test_refusals_always_send_connection_close():
         proxy = GageProxy(
             [Subscriber("a.com", 1000)],
             {"gone": ("127.0.0.1", port)},
-            config=chaos_config(),
+            proxy_config=chaos_config(),
         )
         proxy_port = await proxy.start()
         heads = []
@@ -164,7 +164,7 @@ def test_probe_readmits_revived_backend():
         proxy = GageProxy(
             [Subscriber("a.com", 1000)],
             {"flaky": ("127.0.0.1", port)},
-            config=chaos_config(proxy_failure_threshold=1),
+            proxy_config=chaos_config(failure_threshold=1),
         )
         proxy_port = await proxy.start()
         head, _ = await _get(proxy_port, "a.com", timeout=3.0)
@@ -201,7 +201,7 @@ def test_connect_failure_retries_on_alternate_backend():
         proxy = GageProxy(
             [Subscriber("a.com", 1000)],
             {"bad": ("127.0.0.1", free_port()), "good": ("127.0.0.1", good_port)},
-            config=chaos_config(proxy_failure_threshold=10),
+            proxy_config=chaos_config(failure_threshold=10),
         )
         proxy_port = await proxy.start()
         head, body = await _get(proxy_port, "a.com", timeout=3.0)
@@ -229,7 +229,7 @@ def test_mixed_chaos_every_client_gets_an_answer():
                 "wedged": ("127.0.0.1", hang_port),
                 "gone": ("127.0.0.1", free_port()),
             },
-            config=chaos_config(proxy_failure_threshold=2),
+            proxy_config=chaos_config(failure_threshold=2),
         )
         proxy_port = await proxy.start()
         results = await asyncio.gather(

@@ -11,7 +11,7 @@ import asyncio
 
 import pytest
 
-from repro.core import GageConfig, Subscriber
+from repro.core import GageConfig, ProxyConfig, Subscriber
 from repro.proxy import BackendServer, GageProxy
 
 from .test_chaos import _get, free_port, start_hanging_server
@@ -20,16 +20,15 @@ SITES = {"a.com": {"/index.html": 500}}
 
 
 def hedge_config(**overrides):
-    defaults = dict(
-        hedge_policy="fixed",
-        hedge_delay_s=0.05,
-        scheduling_cycle_s=0.005,
-        proxy_connect_timeout_s=0.5,
-        proxy_response_timeout_s=2.0,
-        proxy_failure_threshold=100,
-    )
+    defaults = dict(hedge_policy="fixed", hedge_delay_s=0.05, scheduling_cycle_s=0.005)
     defaults.update(overrides)
     return GageConfig(**defaults)
+
+
+def hedge_proxy_config(**overrides):
+    defaults = dict(connect_timeout_s=0.5, response_timeout_s=2.0, failure_threshold=100)
+    defaults.update(overrides)
+    return ProxyConfig(**defaults)
 
 
 def assert_conserved(proxy):
@@ -54,6 +53,7 @@ def test_hedge_rescues_slow_backend():
             [Subscriber("a.com", 1000)],
             {"slowpoke": ("127.0.0.1", slow_port), "fast": ("127.0.0.1", fast_port)},
             config=hedge_config(),
+            proxy_config=hedge_proxy_config(),
         )
         proxy_port = await proxy.start()
         loop = asyncio.get_event_loop()
@@ -91,7 +91,8 @@ def test_hedge_rescues_hanging_backend():
         proxy = GageProxy(
             [Subscriber("a.com", 1000)],
             {"wedged": ("127.0.0.1", hang_port), "fast": ("127.0.0.1", fast_port)},
-            config=hedge_config(proxy_response_timeout_s=0.5),
+            config=hedge_config(),
+            proxy_config=hedge_proxy_config(response_timeout_s=0.5),
         )
         proxy_port = await proxy.start()
         head, body = await _get(proxy_port, "a.com", timeout=3.0)
@@ -120,6 +121,7 @@ def test_fast_primary_never_hedges():
             [Subscriber("a.com", 1000)],
             {"only": ("127.0.0.1", fast_port)},
             config=hedge_config(hedge_delay_s=0.5),
+            proxy_config=hedge_proxy_config(),
         )
         proxy_port = await proxy.start()
         heads = []
@@ -152,10 +154,9 @@ def test_hedged_connect_failure_takes_the_retry(policy):
         proxy = GageProxy(
             [Subscriber("a.com", 1000)],
             {"bad": ("127.0.0.1", free_port()), "good": ("127.0.0.1", good_port)},
-            config=hedge_config(
-                hedge_policy=policy,
-                proxy_connect_timeout_s=0.2,
-                proxy_retry_backoff_s=0.01,
+            config=hedge_config(hedge_policy=policy),
+            proxy_config=hedge_proxy_config(
+                connect_timeout_s=0.2, retry_backoff_s=0.01
             ),
         )
         proxy_port = await proxy.start()
@@ -185,6 +186,7 @@ def test_adaptive_delay_is_per_proxy():
             [Subscriber("a.com", 1000)],
             {"slow": ("127.0.0.1", slow_port)},
             config=hedge_config(hedge_policy="p95"),
+            proxy_config=hedge_proxy_config(),
         )
         busy_port = await busy.start()
         # Twelve 0.3 s answers: enough samples for busy's adaptive p95.
@@ -201,6 +203,7 @@ def test_adaptive_delay_is_per_proxy():
             [Subscriber("a.com", 1000)],
             {"lagging": ("127.0.0.1", lagging_port), "fast": ("127.0.0.1", fast_port)},
             config=hedge_config(hedge_policy="p95"),
+            proxy_config=hedge_proxy_config(),
         )
         fresh_port = await fresh.start()
         delay = fresh.hedges.hedge_delay()
@@ -230,11 +233,11 @@ def test_retry_budget_exhaustion_blocks_retry():
         proxy = GageProxy(
             [Subscriber("a.com", 1000)],
             {"bad": ("127.0.0.1", free_port()), "good": ("127.0.0.1", good_port)},
-            config=GageConfig(
-                proxy_connect_timeout_s=0.2,
-                proxy_retry_backoff_s=0.01,
-                proxy_failure_threshold=100,
-                proxy_retry_budget=0,
+            proxy_config=ProxyConfig(
+                connect_timeout_s=0.2,
+                retry_backoff_s=0.01,
+                failure_threshold=100,
+                retry_budget=0,
             ),
         )
         proxy_port = await proxy.start()
@@ -258,12 +261,12 @@ def test_retry_budget_token_spend_allows_one_retry():
         proxy = GageProxy(
             [Subscriber("a.com", 1000)],
             {"bad": ("127.0.0.1", free_port()), "good": ("127.0.0.1", good_port)},
-            config=GageConfig(
-                proxy_connect_timeout_s=0.2,
-                proxy_retry_backoff_s=0.01,
-                proxy_failure_threshold=100,
-                proxy_retry_budget=1,
-                proxy_retry_budget_refill_per_s=0.0,
+            proxy_config=ProxyConfig(
+                connect_timeout_s=0.2,
+                retry_backoff_s=0.01,
+                failure_threshold=100,
+                retry_budget=1,
+                retry_budget_refill_per_s=0.0,
             ),
         )
         proxy_port = await proxy.start()
@@ -297,7 +300,7 @@ def test_deadline_expired_while_queued_gets_504():
             {"only": ("127.0.0.1", port)},
             # The scheduler dispatches every ~10ms; a 1µs deadline is
             # always already expired by then.
-            config=GageConfig(proxy_request_deadline_s=1e-6),
+            proxy_config=ProxyConfig(request_deadline_s=1e-6),
         )
         proxy_port = await proxy.start()
         head, _body = await _get(proxy_port, "a.com", timeout=3.0)
@@ -319,7 +322,7 @@ def test_generous_deadline_does_not_interfere():
         proxy = GageProxy(
             [Subscriber("a.com", 1000)],
             {"only": ("127.0.0.1", port)},
-            config=GageConfig(proxy_request_deadline_s=30.0),
+            proxy_config=ProxyConfig(request_deadline_s=30.0),
         )
         proxy_port = await proxy.start()
         head, body = await _get(proxy_port, "a.com", timeout=3.0)

@@ -2,7 +2,7 @@
 
 import asyncio
 
-from repro.core import GageConfig, Subscriber
+from repro.core import ProxyConfig, Subscriber
 from repro.proxy import BackendServer, GageProxy, client_session, frontend
 from repro.proxy.http import read_response_head
 
@@ -23,13 +23,13 @@ async def _request(reader, writer, site, path="/index.html", version="HTTP/1.1")
     return head, body
 
 
-async def _rig(config=None, body_bytes=500):
+async def _rig(proxy_config=None, body_bytes=500):
     backend = BackendServer({"a.com": {"/index.html": body_bytes}}, time_scale=0.0)
     backend_port = await backend.start()
     proxy = GageProxy(
         [Subscriber("a.com", 1000)],
         {"backend0": ("127.0.0.1", backend_port)},
-        config=config,
+        proxy_config=proxy_config,
     )
     port = await proxy.start()
     return backend, proxy, port
@@ -136,13 +136,13 @@ def test_backend_sockets_reused_across_client_connections():
 
 def test_ejection_drains_the_pool():
     async def main():
-        config = GageConfig(proxy_probe_interval_s=30.0)
-        backend, proxy, port = await _rig(config=config)
+        config = ProxyConfig(probe_interval_s=30.0)
+        backend, proxy, port = await _rig(proxy_config=config)
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
         await _request(reader, writer, "a.com", version="HTTP/1.0")
         writer.close()
         assert proxy.pool.idle_count("backend0") == 1
-        for _ in range(config.proxy_failure_threshold):
+        for _ in range(config.failure_threshold):
             proxy._note_backend_failure("backend0")
         idle = proxy.pool.idle_count("backend0")
         dropped = proxy.pool.dropped
@@ -159,9 +159,9 @@ def test_ejection_drains_the_pool():
 
 def test_probe_readmission_seeds_the_pool():
     async def main():
-        config = GageConfig(proxy_probe_interval_s=0.05)
-        backend, proxy, port = await _rig(config=config)
-        for _ in range(config.proxy_failure_threshold):
+        config = ProxyConfig(probe_interval_s=0.05)
+        backend, proxy, port = await _rig(proxy_config=config)
+        for _ in range(config.failure_threshold):
             proxy._note_backend_failure("backend0")
         assert proxy.pool.idle_count("backend0") == 0
         for _ in range(40):

@@ -14,7 +14,7 @@ import signal
 
 import pytest
 
-from repro.core import GageConfig, Subscriber
+from repro.core import GageConfig, ProxyConfig, Subscriber
 from repro.harness.loadgen import ProxyRig, closed_loop
 from repro.proxy.backend import BackendServer
 from repro.proxy.workers import (
@@ -57,9 +57,11 @@ class TestWorkerSpec:
             backends=(("backend0", ("127.0.0.1", 9000)),),
             config=GageConfig(),
             backend_capacity=ResourceVector(1.0, 1.0, 1e6),
+            proxy_config=ProxyConfig(failure_threshold=7, request_deadline_s=2.0),
         )
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
+        assert clone.proxy_config.failure_threshold == 7
 
 
 class TestSupervisorConstruction:
