@@ -35,6 +35,7 @@ from repro.proxy.http import (
 from repro.proxy.splice import (
     over_high_water,
     sendfile_exactly,
+    timeout,
     tune_transport,
     vectored_write,
 )
@@ -168,9 +169,8 @@ class BackendServer:
         try:
             while True:
                 try:
-                    head = await asyncio.wait_for(
-                        read_request_head(reader), timeout=self.keepalive_idle_s
-                    )
+                    with timeout(self.keepalive_idle_s):
+                        head = await read_request_head(reader)
                 except asyncio.TimeoutError:
                     return
                 body_len = head.content_length

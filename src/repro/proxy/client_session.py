@@ -4,8 +4,8 @@ Split out of :mod:`repro.proxy.frontend` (a pure move): everything
 between ``accept()`` and the scheduler queue lives here — parsing the
 request head, classifying it to a subscriber, the admission/shedding
 decisions (404 unknown host, 503 queue-full, 503 no-healthy-backend),
-and the keep-alive loop that parks an idle client connection between
-requests.  :class:`~repro.proxy.frontend.GageProxy` mixes this in; the
+and the one task per client connection that serves its requests in
+turn.  :class:`~repro.proxy.frontend.GageProxy` mixes this in; the
 dispatch/splice data plane and backend health logic stay in
 ``frontend.py``.
 """
@@ -19,7 +19,8 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.metrics import REQUEST_SHED
 from repro.proxy.http import HTTPError, HTTPRequestHead, read_request_head
-from repro.proxy.splice import tune_transport
+from repro.proxy.splice import timeout, tune_transport
+from repro.resources import ResourceVector
 
 #: How long the front end waits for the next request on an idle
 #: keep-alive client connection before closing it.
@@ -37,7 +38,10 @@ class _PendingConnection:
     #: Loop-clock time the request entered its subscriber queue; the
     #: per-request deadline (``ProxyConfig.request_deadline_s``) counts from
     #: here, so time spent queued behind the WRR gate is included.
-    enqueued_at: float = 0.0
+    enqueued_at: float
+    #: The scheduler's verdict, awaited by the connection's task:
+    #: ``(backend, subscriber, predicted)`` on dispatch, None when shed.
+    verdict: asyncio.Future[Optional[Tuple[str, str, ResourceVector]]]
 
 
 #: Rendered refusal heads, keyed (status, reason, retry_after_s).  A
@@ -65,8 +69,8 @@ class ClientSessionMixin:
 
     Relies on attributes the concrete proxy constructs: ``stats``,
     ``classifier``, ``queues``, ``node_scheduler``, ``failures``,
-    ``proxy_config``, ``_tasks``, ``_tm_shed``, ``_tm_accepts``, and
-    ``_now()``.
+    ``proxy_config``, ``_loop``, ``_tm_shed``, ``_tm_accepts``,
+    ``_track()``, ``_now()`` and ``_serve()``.
     """
 
     # -- client admission ---------------------------------------------------
@@ -74,32 +78,46 @@ class ClientSessionMixin:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one client connection in this task: read a head, queue it,
+        await the scheduler's verdict, serve it inline, read the next head."""
         self.stats.accepted += 1
         self._tm_accepts.inc()
+        self._track(asyncio.current_task())
         tune_transport(writer.transport)
         try:
             head = await read_request_head(reader)
-        except (HTTPError, asyncio.IncompleteReadError, ConnectionError):
-            writer.close()
-            return
-        except asyncio.CancelledError:
-            # Loop teardown while waiting on an idle client; exit quietly.
-            writer.close()
-            return
-        await self._admit(head, reader, writer)
+            while True:
+                pending = await self._admit(head, reader, writer)
+                if pending is None:
+                    return
+                verdict = await pending.verdict
+                if verdict is None:  # shed: no backend is healthy
+                    await self._refuse(
+                        writer, 503, "Service Unavailable", retry_after_s=self._retry_after_s()
+                    )
+                    return
+                if not await self._serve(pending, *verdict):
+                    return
+                with timeout(KEEPALIVE_IDLE_S):
+                    head = await read_request_head(reader)
+                self.stats.keepalive_requests += 1
+        except (asyncio.TimeoutError, asyncio.IncompleteReadError, HTTPError, ConnectionError):
+            pass  # an idle, malformed or vanished client
+        finally:
+            writer.close()  # no-op if a refusal or _serve already closed it
 
     async def _admit(
         self,
         head: HTTPRequestHead,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-    ) -> None:
-        """Classify one parsed request and queue it for the scheduler."""
+    ) -> Optional[_PendingConnection]:
+        """Classify one parsed request and queue it; None if refused instead."""
         subscriber = self.classifier.classify_payload(head)
         if subscriber is None:
             self.stats.rejected_unknown_host += 1
             await self._refuse(writer, 404, "Not Found")
-            return
+            return None
         if not self.node_scheduler.up_nodes():
             # Load shedding: every backend is ejected, so queueing would
             # only delay the inevitable — fail fast and tell the client
@@ -110,9 +128,9 @@ class ClientSessionMixin:
             await self._refuse(
                 writer, 503, "Service Unavailable", retry_after_s=self._retry_after_s()
             )
-            return
+            return None
         pending = _PendingConnection(
-            head, reader, writer, subscriber, enqueued_at=self._now()
+            head, reader, writer, subscriber, self._now(), self._loop.create_future()
         )
         queue = self.queues.get(subscriber)
         if queue is None or not queue.offer(pending):
@@ -120,62 +138,28 @@ class ClientSessionMixin:
             await self._refuse(
                 writer, 503, "Service Unavailable", retry_after_s=1
             )
-            return
-
-    def _resume_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Wait for the next request on a kept-alive client connection."""
-        task = asyncio.ensure_future(self._keepalive_loop(reader, writer))
-        self._tasks.append(task)
-        self._tasks = [t for t in self._tasks if not t.done()]
-
-    async def _keepalive_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            head = await asyncio.wait_for(
-                read_request_head(reader),
-                timeout=KEEPALIVE_IDLE_S,
-            )
-        except (
-            asyncio.TimeoutError,
-            HTTPError,
-            asyncio.IncompleteReadError,
-            ConnectionError,
-        ):
-            writer.close()
-            return
-        self.stats.keepalive_requests += 1
-        await self._admit(head, reader, writer)
+            return None
+        return pending
 
     # -- shedding -----------------------------------------------------------
 
     def _shed_queued(self) -> None:
-        """503 every queued connection while no backend is healthy.
+        """Shed every queued request while no backend is healthy.
 
         Without this, connections admitted just before the last backend
         was ejected would sit in their queues indefinitely (``pick``
         returns None) and their clients would hang instead of failing
-        fast.
+        fast.  Each connection's own task writes the 503.
         """
         for queue in self.queues:
             while queue.backlogged:
                 pending = queue.take()
+                if pending.verdict.done():
+                    continue  # its connection is already gone
                 self.stats.shed_no_backend += 1
                 self._tm_shed.inc()
-                self.failures.record(
-                    self._now(), REQUEST_SHED, pending.subscriber
-                )
-                task = asyncio.ensure_future(
-                    self._refuse(
-                        pending.writer,
-                        503,
-                        "Service Unavailable",
-                        retry_after_s=self._retry_after_s(),
-                    )
-                )
-                self._tasks.append(task)
+                self.failures.record(self._now(), REQUEST_SHED, pending.subscriber)
+                pending.verdict.set_result(None)
 
     @staticmethod
     async def _refuse(

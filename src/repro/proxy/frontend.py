@@ -8,9 +8,10 @@ Runs the *identical* scheduling/accounting code as the simulator —
 one subscriber table as in the simulated RDN — driven by asyncio tasks
 instead of simulated processes:
 
-- the **scheduler task** wakes every scheduling cycle (10 ms) and runs
-  one WRR credit cycle; dispatched connections become asyncio tasks that
-  connect to the chosen back end and splice the two sockets;
+- the **scheduler task** runs one WRR credit cycle every scheduling
+  cycle (10 ms), sleeping to fixed due times so the tick keeps its rate;
+  a dispatch resolves the queued request's future, and the connection's
+  own task connects to the chosen back end and splices the two sockets;
 - the **accounting task** wakes every accounting cycle, turns the usage
   collected from ``X-Gage-Usage`` response headers into
   :class:`~repro.core.feedback.AccountingMessage` objects (one per back
@@ -24,11 +25,12 @@ bodies go out in one vectored write, and bulk bodies are relayed
 transport-to-transport under flow control
 (:func:`~repro.proxy.splice.splice_exactly`).
 
-Every dispatched request is served by one path, :meth:`GageProxy._serve`.
-Hedging (off by default) is decided by the simulator's own
-:class:`~repro.core.hedge.HedgeManager`, run on the loop's clock: it
-tracks bodyless requests, fires clones, charges and refunds them; the
-proxy only lends it the transport verbs (dial a clone, drain a loser).
+Every dispatched request is served by one path, :meth:`GageProxy._serve`,
+awaited by the connection's task.  Hedging (off by default) is decided
+by the simulator's own :class:`~repro.core.hedge.HedgeManager`, run on
+the loop's clock: it tracks bodyless requests, fires clones (each copy
+a task), charges and refunds them; the proxy only lends it the
+transport verbs (dial a clone, drain a loser).
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from repro.proxy.http import (
     render_response_head,
     wants_keep_alive,
 )
-from repro.proxy.splice import splice_exactly, tune_transport
+from repro.proxy.splice import splice_exactly, timeout, tune_transport
 from repro.resources import ResourceVector
 from repro.telemetry.registry import get_registry
 
@@ -141,6 +143,8 @@ class GageProxy(ClientSessionMixin):
     data plane, and backend health.
     """
 
+    _loop: asyncio.AbstractEventLoop  #: set by :meth:`start`; its clock is the proxy's
+
     def __init__(
         self,
         subscribers: List[Subscriber],
@@ -203,7 +207,8 @@ class GageProxy(ClientSessionMixin):
         #: :meth:`start`, which has the loop whose clock it runs on.
         self.hedges: Optional[HedgeManager] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._tasks: List[asyncio.Task] = []
+        #: Background and connection tasks; each leaves when it is done.
+        self._tasks: Set["asyncio.Task[None]"] = set()
         self._stopping = False
         #: Retry-budget token bucket (None = unlimited, the default).
         #: Refilled by the scheduler loop at the configured rate; a
@@ -248,8 +253,8 @@ class GageProxy(ClientSessionMixin):
                 self._handle, host=self.host, port=port
             )
         self.port = self._server.sockets[0].getsockname()[1]
+        self._loop = loop = asyncio.get_running_loop()
         if self.config.hedge_policy != HEDGE_OFF:
-            loop = asyncio.get_running_loop()
             self.hedges = HedgeManager(
                 loop.time,
                 loop.call_later,
@@ -262,8 +267,8 @@ class GageProxy(ClientSessionMixin):
                 self.accounting,
                 self.node_scheduler,
             )
-        self._tasks.append(asyncio.ensure_future(self._scheduler_loop()))
-        self._tasks.append(asyncio.ensure_future(self._accounting_loop()))
+        self._track(loop.create_task(self._scheduler_loop()))
+        self._track(loop.create_task(self._accounting_loop()))
         return self.port
 
     async def stop(self) -> None:
@@ -273,27 +278,35 @@ class GageProxy(ClientSessionMixin):
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in self._tasks:
+        tasks = list(self._tasks)
+        for task in tasks:
             task.cancel()
-        for task in self._tasks:
+        for task in tasks:
             try:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
-        self._tasks.clear()
         self.pool.close_all()
+
+    def _track(self, task: "asyncio.Task[None]") -> None:
+        """Keep ``task`` in :attr:`_tasks` until it is done (stop() cancels it)."""
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     # -- background loops --------------------------------------------------
 
     async def _scheduler_loop(self) -> None:
+        loop = self._loop
+        cycle = self.config.scheduling_cycle_s
+        due = loop.time()
         while not self._stopping:
-            await asyncio.sleep(self.config.scheduling_cycle_s)
+            due += cycle
+            await asyncio.sleep(max(0.0, due - loop.time()))
             if self._retry_tokens is not None:
                 self._retry_tokens = min(
                     float(self.proxy_config.retry_budget or 0),
                     self._retry_tokens
-                    + self.proxy_config.retry_budget_refill_per_s
-                    * self.config.scheduling_cycle_s,
+                    + self.proxy_config.retry_budget_refill_per_s * cycle,
                 )
             self.scheduler.run_cycle()
             self.pool.sweep()
@@ -302,10 +315,12 @@ class GageProxy(ClientSessionMixin):
                 self._shed_queued()
 
     async def _accounting_loop(self) -> None:
-        loop = asyncio.get_event_loop()
-        last = loop.time()
+        loop = self._loop
+        cycle = self.config.accounting_cycle_s
+        last = due = loop.time()
         while not self._stopping:
-            await asyncio.sleep(self.config.accounting_cycle_s)
+            due += cycle
+            await asyncio.sleep(max(0.0, due - loop.time()))
             now = loop.time()
             for backend_id in self.backends:
                 message = self._flush_bucket(backend_id, last, now)
@@ -329,9 +344,8 @@ class GageProxy(ClientSessionMixin):
             per_subscriber=per_subscriber,
         )
 
-    @staticmethod
-    def _now() -> float:
-        return asyncio.get_event_loop().time()
+    def _now(self) -> float:
+        return self._loop.time()
 
     # -- multi-worker front end ----------------------------------------------
 
@@ -355,13 +369,15 @@ class GageProxy(ClientSessionMixin):
         self, item: object, backend_id: str, subscriber: str,
         predicted: ResourceVector,
     ) -> None:
+        """Wake the request's connection task; if it is gone (cancelled
+        while queued), settle the charge as :meth:`_expire` does."""
         assert isinstance(item, _PendingConnection)
         self.stats.dispatched += 1
-        task = asyncio.ensure_future(
-            self._serve(item, backend_id, subscriber, predicted)
-        )
-        self._tasks.append(task)
-        self._tasks = [t for t in self._tasks if not t.done()]
+        if item.verdict.done():
+            self.stats.failed += 1
+            self._record(backend_id, subscriber, ResourceVector.ZERO, completed=1)
+            return
+        item.verdict.set_result((backend_id, subscriber, predicted))
 
     async def _acquire(
         self, backend_id: str, fresh: bool = False
@@ -376,10 +392,8 @@ class GageProxy(ClientSessionMixin):
             if pooled is not None:
                 return pooled[0], pooled[1], True
         connect_started = self._now()
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(*self.backends[backend_id]),
-            timeout=self.proxy_config.connect_timeout_s,
-        )
+        with timeout(self.proxy_config.connect_timeout_s):
+            reader, writer = await asyncio.open_connection(*self.backends[backend_id])
         self._tm_connect_latency.observe(self._now() - connect_started)
         tune_transport(writer.transport)
         return reader, writer, False
@@ -391,7 +405,7 @@ class GageProxy(ClientSessionMixin):
         body_len: int,
         client_reader: asyncio.StreamReader,
         client_writer: asyncio.StreamWriter,
-        timeout: float,
+        response_timeout: float,
     ) -> _Answer:
         """One copy of a request: connect, send it, read the response head.
 
@@ -415,9 +429,8 @@ class GageProxy(ClientSessionMixin):
                         prefix=request_head,
                     )
                     await writer.drain()
-                    response = await asyncio.wait_for(
-                        read_response_head(reader), timeout=timeout
-                    )
+                    with timeout(response_timeout):
+                        response = await read_response_head(reader)
                     return reader, writer, response
                 except (ConnectionError, asyncio.IncompleteReadError) as exc:
                     if not reused or body_len:
@@ -439,7 +452,7 @@ class GageProxy(ClientSessionMixin):
         backend_id: str,
         subscriber: str,
         predicted: ResourceVector,
-    ) -> None:
+    ) -> bool:
         """Proxy one dispatched request, hedged or not, riding out failures.
 
         A request the hedge manager does not track — hedging off, or a
@@ -458,14 +471,14 @@ class GageProxy(ClientSessionMixin):
         accounting's pending-prediction queues stay consistent.
 
         On success, the backend socket returns to the pool (if the
-        backend kept it alive) and a keep-alive client goes back to
-        waiting for its next request instead of being closed.
+        backend kept it alive).  Returns whether the client connection
+        stays open for its next request; otherwise it has been closed.
         """
         client_reader, client_writer = pending.reader, pending.writer
         remaining = self._deadline_remaining(pending)
         if remaining is not None and remaining <= 0:
             await self._expire(pending, backend_id, subscriber)
-            return
+            return False
         response_timeout = self.proxy_config.response_timeout_s
         if remaining is not None:
             response_timeout = min(response_timeout, remaining)
@@ -533,16 +546,14 @@ class GageProxy(ClientSessionMixin):
             )
             response_head = render_response_head(response, drop_usage=True)
             head_sent = True
-            relayed = await asyncio.wait_for(
-                splice_exactly(
+            with timeout(response_timeout):
+                relayed = await splice_exactly(
                     backend_reader,
                     backend_writer,
                     client_writer,
                     response.content_length,
                     prefix=response_head,
-                ),
-                timeout=response_timeout,
-            )
+                )
             await client_writer.drain()
             self.stats.completed += 1
             self._tm_response_latency.observe(self._now() - started)
@@ -591,10 +602,9 @@ class GageProxy(ClientSessionMixin):
         finally:
             if answer is not None and not released:
                 answer[1].close()
-            if client_ok and client_keep_alive:
-                self._resume_client(client_reader, client_writer)
-            else:
+            if not (client_ok and client_keep_alive):
                 client_writer.close()
+        return client_ok and client_keep_alive
 
     # -- deadlines and retry budget ------------------------------------------
 
@@ -674,10 +684,11 @@ class GageProxy(ClientSessionMixin):
         """A loser is cancelled by draining whatever it answers, later."""
         assert isinstance(race, _Race)
         self.stats.hedges_cancelled += 1
-        drain = asyncio.ensure_future(
-            self._drain_loser(race.attempts[backend_id], backend_id, subscriber)
+        self._track(
+            self._loop.create_task(
+                self._drain_loser(race.attempts[backend_id], backend_id, subscriber)
+            )
         )
-        self._tasks.append(drain)
         return True
 
     async def _drain_loser(
@@ -698,10 +709,8 @@ class GageProxy(ClientSessionMixin):
             self._note_backend_failure(loser_id)
             return  # _attempt already closed its socket
         try:
-            await asyncio.wait_for(
-                self._discard_body(reader, response.content_length),
-                timeout=self.proxy_config.response_timeout_s,
-            )
+            with timeout(self.proxy_config.response_timeout_s):
+                await self._discard_body(reader, response.content_length)
         except (ConnectionError, asyncio.IncompleteReadError, asyncio.TimeoutError):
             writer.close()
             return
@@ -757,8 +766,7 @@ class GageProxy(ClientSessionMixin):
             self.failures.record(now, BACKEND_EJECTED, backend_id, detail=float(count))
             if backend_id not in self._probing:
                 self._probing.add(backend_id)
-                task = asyncio.ensure_future(self._probe_loop(backend_id))
-                self._tasks.append(task)
+                self._track(self._loop.create_task(self._probe_loop(backend_id)))
 
     async def _probe_loop(self, backend_id: str) -> None:
         """Re-admit an ejected backend once a probe connect succeeds."""
@@ -767,10 +775,8 @@ class GageProxy(ClientSessionMixin):
             while not self._stopping:
                 await asyncio.sleep(self.proxy_config.probe_interval_s)
                 try:
-                    reader, writer = await asyncio.wait_for(
-                        asyncio.open_connection(host, port),
-                        timeout=self.proxy_config.connect_timeout_s,
-                    )
+                    with timeout(self.proxy_config.connect_timeout_s):
+                        reader, writer = await asyncio.open_connection(host, port)
                 except (OSError, asyncio.TimeoutError):
                     continue
                 self._consecutive_failures[backend_id] = 0

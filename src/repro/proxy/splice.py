@@ -104,6 +104,43 @@ class SpliceStats:
 #: The process-wide instance (per worker process; workers do not share it).
 splice_stats = SpliceStats()
 
+#: ``Task.uncancel`` (3.11+) tells our expiry from a cancel from outside.
+_UNCANCEL = hasattr(asyncio.Task, "uncancel")
+
+
+class timeout:
+    """``with timeout(seconds):`` bounds the enclosed awaits; every proxy wait uses it.
+
+    On expiry one ``call_later`` handle cancels the current task, and the
+    block re-raises that as ``asyncio.TimeoutError``; where ``Task.uncancel``
+    exists, a cancel from outside still propagates.  Unlike
+    ``asyncio.wait_for`` on older Pythons, it wraps nothing in a task.
+    """
+
+    __slots__ = ("_seconds", "_task", "_handle", "_expired", "_cancelling")
+
+    def __init__(self, seconds: float) -> None:
+        self._seconds = seconds
+
+    def __enter__(self) -> None:
+        self._task = task = asyncio.current_task()
+        self._expired = False
+        self._cancelling = task.cancelling() if _UNCANCEL else 0
+        self._handle = task.get_loop().call_later(self._seconds, self._expire)
+
+    def _expire(self) -> None:
+        self._expired = True
+        self._task.cancel()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._handle.cancel()
+        if not self._expired:
+            return
+        if _UNCANCEL and self._task.uncancel() > self._cancelling:
+            return  # cancelled from outside as well: that cancel wins
+        if exc_type is not None and issubclass(exc_type, asyncio.CancelledError):
+            raise asyncio.TimeoutError from exc
+
 
 def tune_transport(transport) -> None:
     """Throughput-tune one TCP transport.
@@ -270,7 +307,7 @@ async def sendfile_exactly(
     if destination_closing(writer):
         raise ConnectionResetError("destination closed during sendfile")
     transport = _transport_of(writer)
-    loop = asyncio.get_event_loop()
+    loop = asyncio.get_running_loop()
     if transport is not None and hasattr(loop, "sendfile"):
         try:
             sent = await loop.sendfile(
@@ -367,7 +404,7 @@ class _SpliceProtocol(asyncio.Protocol):
         self.saw_eof = False
         self.lost = False
         self.lost_exc: Optional[BaseException] = None
-        self._loop = asyncio.get_event_loop()
+        self._loop = asyncio.get_running_loop()
         self.done: asyncio.Future = self._loop.create_future()
         self._drainer: Optional[asyncio.Task] = None
 

@@ -326,13 +326,13 @@ class WorkerSupervisor:
         self._control_server = await asyncio.start_unix_server(
             self._on_control_connection, path=self._control_path
         )
-        now = asyncio.get_event_loop().time()
+        loop = asyncio.get_running_loop()
+        now = loop.time()
         for state in self._states.values():
             self._spawn(state, now)
         # Readiness barrier: a worker says hello only after its listener
         # is up, so waiting here gives start() the same contract as
         # GageProxy.start() — the returned port accepts connections.
-        loop = asyncio.get_event_loop()
         deadline = loop.time() + SPAWN_GRACE_S
         while (
             any(state.writer is None for state in self._states.values())
@@ -372,15 +372,13 @@ class WorkerSupervisor:
                     await state.writer.drain()
                 except ConnectionError:
                     pass
-        deadline = asyncio.get_event_loop().time() + 2.0
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + 2.0
         for state in self._states.values():
             process = state.process
             if process is None:
                 continue
-            while (
-                process.poll() is None
-                and asyncio.get_event_loop().time() < deadline
-            ):
+            while process.poll() is None and loop.time() < deadline:
                 await asyncio.sleep(0.05)
             if process.poll() is None:
                 process.terminate()
@@ -480,7 +478,7 @@ class WorkerSupervisor:
                     state = current
                     state.writer = writer
                 elif mtype == "report" and state is current:
-                    now = asyncio.get_event_loop().time()
+                    now = asyncio.get_running_loop().time()
                     state.last_report_at = now
                     state.pending_report = message
                     state.reports += 1
@@ -500,10 +498,11 @@ class WorkerSupervisor:
     # -- the supervision / rebalance loop -----------------------------------
 
     async def _control_loop(self) -> None:
+        loop = asyncio.get_running_loop()
         cycle = self.config.accounting_cycle_s
         while not self._stopping:
             await asyncio.sleep(cycle)
-            now = asyncio.get_event_loop().time()
+            now = loop.time()
             self._reap_dead(now)
             if self.workers > 1:
                 self._rebalance()

@@ -198,3 +198,27 @@ def test_demo_isolation_under_overload():
 def test_proxy_requires_backends():
     with pytest.raises(ValueError):
         GageProxy([Subscriber("a.com", 10)], {})
+
+
+def test_scheduling_tick_keeps_its_configured_rate():
+    """Each scheduling cycle grants one cycle's worth of every
+    reservation, so the tick rate is the guaranteed rate: the proxy's
+    tick sleeps to fixed due times and never drifts below 1/cycle."""
+    cycle = 0.002
+
+    async def main():
+        proxy = GageProxy(
+            [Subscriber("a.com", 10)],
+            {"backend0": ("127.0.0.1", 1)},
+            config=GageConfig(scheduling_cycle_s=cycle),
+        )
+        loop = asyncio.get_running_loop()
+        await proxy.start()
+        started = loop.time()
+        await asyncio.sleep(0.5)
+        cycles, elapsed = proxy.scheduler.cycles, loop.time() - started
+        await proxy.stop()
+        return cycles, elapsed
+
+    cycles, elapsed = asyncio.run(main())
+    assert cycles >= 0.98 * elapsed / cycle

@@ -1,6 +1,7 @@
 """Tests for the asyncio byte relay."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -10,6 +11,11 @@ from repro.proxy.splice import (
     relay_exactly,
     relay_until_eof,
     splice_exactly,
+    timeout,
+)
+
+needs_uncancel = pytest.mark.skipif(
+    not hasattr(asyncio.Task, "uncancel"), reason="Task.uncancel is 3.11+"
 )
 
 
@@ -236,5 +242,62 @@ def test_relay_exactly_to_closing_destination_raises():
                 await relay_exactly(feed(b"x" * 100), dst[1], 100)
         finally:
             await _cleanup(dst)
+
+    asyncio.run(main())
+
+
+
+def test_timeout_expiry_raises_timeout_error_and_takes_its_cancel_back():
+    async def main():
+        with pytest.raises(asyncio.TimeoutError):
+            with timeout(0.01):
+                await asyncio.sleep(10)
+        await asyncio.sleep(0)  # the task goes on uncancelled
+        task = asyncio.current_task()
+        return task.cancelling() if hasattr(task, "cancelling") else 0
+
+    assert asyncio.run(main()) == 0
+
+
+def test_timeout_finished_in_time_cancels_its_timer():
+    async def main():
+        with timeout(0.01):
+            await asyncio.sleep(0)
+        await asyncio.sleep(0.05)  # past the deadline: no cancel arrives
+        return "done"
+
+    assert asyncio.run(main()) == "done"
+
+
+@needs_uncancel
+def test_timeout_lets_an_outside_cancel_propagate():
+    async def blocked():
+        with timeout(10):
+            await asyncio.sleep(10)
+
+    async def main():
+        task = asyncio.ensure_future(blocked())
+        await asyncio.sleep(0.01)
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+
+    asyncio.run(main())
+
+
+@needs_uncancel
+def test_timeout_expiring_beside_an_outside_cancel_lets_the_cancel_win():
+    async def blocked():
+        with timeout(0.01):
+            await asyncio.sleep(10)
+
+    async def main():
+        task = asyncio.ensure_future(blocked())
+        await asyncio.sleep(0)
+        asyncio.get_running_loop().call_later(0.015, task.cancel)
+        # Both timers come due in one loop iteration, the expiry first.
+        time.sleep(0.05)
+        with pytest.raises(asyncio.CancelledError):
+            await task
 
     asyncio.run(main())
