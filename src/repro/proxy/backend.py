@@ -8,20 +8,17 @@ header — the real-socket analogue of the RPN's resource usage accounting
 
 The server speaks HTTP/1.1 keep-alive: one connection (typically a
 pooled socket held by the front end) carries many requests, with an idle
-timeout reclaiming abandoned ones.  Response head + body go out in a
-single vectored write (one ``sendmsg`` when the transport buffer is
-empty) from a preallocated body buffer, draining only when the
-transport's write buffer passes its high-water mark.  Warm ("buffer
-cache") bodies are additionally served zero-copy from a file via
-``os.sendfile`` when ``use_sendfile`` is on — the analogue of the
-paper's cache-served static content never crossing userspace.
+timeout reclaiming abandoned ones.  Every response, warm or cold, goes
+out the same way: the head and views of one preallocated body buffer in
+a vectored write (one ``sendmsg`` when the transport buffer is empty),
+draining only when the transport's write buffer passes its high-water
+mark.  A small response therefore leaves in one segment, so the front
+end finds head and body together in its first read.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
-import tempfile
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.proxy.http import (
@@ -34,7 +31,6 @@ from repro.proxy.http import (
 )
 from repro.proxy.splice import (
     over_high_water,
-    sendfile_exactly,
     timeout,
     tune_transport,
     vectored_write,
@@ -44,7 +40,7 @@ from repro.workload.request import CostModel, WebRequest
 #: Body chunk written at a time, bytes.
 CHUNK_BYTES = 16 * 1024
 
-#: Vectored-write batch: at most this many chunks per writelines call.
+#: At most this many pieces (head included) per vectored write.
 _BATCH_CHUNKS = 16
 
 #: The synthetic body content, allocated once and sliced per response.
@@ -68,11 +64,6 @@ class BackendServer:
         delay, added verbatim (not scaled by ``time_scale``).  Lets
         tests and benchmarks inject heavy-tailed (e.g. Pareto) or
         fault-shaped service times without touching the cost model.
-    use_sendfile:
-        Serve warm (cache-hit) bodies zero-copy from a file via
-        ``os.sendfile``; cold bodies (the ones charged disk time) and
-        every fallback keep the buffered vectored-write path.  The
-        served bytes are identical either way.
     """
 
     def __init__(
@@ -83,7 +74,6 @@ class BackendServer:
         host: str = "127.0.0.1",
         keepalive_idle_s: float = 15.0,
         extra_delay_fn: Optional[Callable[[str, str], float]] = None,
-        use_sendfile: bool = True,
     ) -> None:
         if time_scale < 0:
             raise ValueError("negative time scale")
@@ -95,23 +85,16 @@ class BackendServer:
         self.host = host
         self.keepalive_idle_s = keepalive_idle_s
         self.extra_delay_fn = extra_delay_fn
-        self.use_sendfile = use_sendfile
         self.port: Optional[int] = None
         self.requests_served = 0
         self.errors = 0
         self.bytes_sent = 0
-        #: Responses whose body went out via the sendfile path.
-        self.sendfile_served = 0
         #: host → cached flag per path (one-shot "buffer cache").
         self._warm: Dict[Tuple[str, str], bool] = {}
         self._server: Optional[asyncio.AbstractServer] = None
-        self._body_path: Optional[str] = None
-        self._body_len = 0
 
     async def start(self, port: int = 0) -> int:
         """Bind and start serving; returns the bound port."""
-        if self.use_sendfile and self._body_path is None:
-            self._make_body_file()
         self._server = await asyncio.start_server(
             self._handle, host=self.host, port=port
         )
@@ -124,43 +107,6 @@ class BackendServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._body_path is not None:
-            try:
-                os.unlink(self._body_path)
-            except OSError:
-                pass
-            self._body_path = None
-            self._body_len = 0
-
-    def _make_body_file(self) -> None:
-        """Materialize the synthetic body as a file for ``os.sendfile``.
-
-        Sized to the largest object in the catalog so any response body
-        is a prefix of it; content matches ``_BODY_VIEW`` byte for byte,
-        so sendfile- and buffer-served responses are indistinguishable.
-        """
-        largest = max(
-            (size for site in self.sites.values() for size in site.values()),
-            default=0,
-        )
-        if largest <= 0:
-            return
-        fd, path = tempfile.mkstemp(prefix="repro-backend-", suffix=".body")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                remaining = largest
-                while remaining > 0:
-                    take = min(CHUNK_BYTES, remaining)
-                    fh.write(_BODY_VIEW[:take])
-                    remaining -= take
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return
-        self._body_path = path
-        self._body_len = largest
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -246,32 +192,19 @@ class BackendServer:
             },
         )
         head_bytes = render_response_head(response)
-        if was_warm and 0 < size <= self._body_len and self._body_path is not None:
-            # Cache-hit body: head vectored out, body straight from the
-            # page cache via sendfile.  Per-request file handle — the
-            # sendfile fallback paths seek, so sharing one would race.
-            # Counted at path-selection time: the increment after the
-            # await would race observers that stop the server as soon as
-            # the client has the last byte.
-            self.sendfile_served += 1
-            vectored_write(writer, [head_bytes])
-            with open(self._body_path, "rb") as body_file:
-                await sendfile_exactly(writer, body_file, size)
-        else:
-            pieces = [head_bytes]
-            remaining = size
-            while True:
-                while remaining > 0 and len(pieces) < _BATCH_CHUNKS:
-                    take = min(CHUNK_BYTES, remaining)
-                    pieces.append(_BODY_VIEW[:take])
-                    remaining -= take
-                if pieces:
-                    vectored_write(writer, pieces)
-                    pieces = []
-                if remaining <= 0:
-                    break
-                if over_high_water(writer):
-                    await writer.drain()
+        pieces = [head_bytes]
+        remaining = size
+        while True:
+            while remaining > 0 and len(pieces) < _BATCH_CHUNKS:
+                take = min(CHUNK_BYTES, remaining)
+                pieces.append(_BODY_VIEW[:take])
+                remaining -= take
+            vectored_write(writer, pieces)
+            if remaining <= 0:
+                break
+            pieces = []
+            if over_high_water(writer):
+                await writer.drain()
         if over_high_water(writer):
             await writer.drain()
         self.requests_served += 1

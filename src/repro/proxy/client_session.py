@@ -103,6 +103,10 @@ class ClientSessionMixin:
                 self.stats.keepalive_requests += 1
         except (asyncio.TimeoutError, asyncio.IncompleteReadError, HTTPError, ConnectionError):
             pass  # an idle, malformed or vanished client
+        except asyncio.CancelledError:
+            # stop() cancelled the connection: exit quietly, or the
+            # server's done-callback logs the cancellation as an error.
+            pass
         finally:
             writer.close()  # no-op if a refusal or _serve already closed it
 

@@ -91,6 +91,30 @@ def test_unhedged_keepalive_spawns_no_proxy_task_per_request():
     assert spawned == ["_handle"]
 
 
+def test_stop_with_an_idle_keepalive_client_reports_nothing():
+    """stop() cancels the task of a parked keep-alive connection; the task
+    ends quietly, so the loop's exception handler is never called."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        reported = []
+        loop.set_exception_handler(lambda _loop, context: reported.append(context))
+        backend, proxy, port = await _rig()
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        head, _body = await _request(reader, writer, "a.com")
+        await proxy.stop()
+        for _ in range(3):  # let the done-callbacks of the cancelled task run
+            await asyncio.sleep(0)
+        writer.close()
+        await backend.stop()
+        return head, proxy._tasks, reported
+
+    head, tasks, reported = asyncio.run(main())
+    assert head.status == 200
+    assert not tasks  # stop() awaited the connection's task
+    assert reported == []
+
+
 def test_http10_client_connection_is_closed_after_response():
     async def main():
         backend, proxy, port = await _rig()

@@ -1,15 +1,17 @@
 """Tests for the asyncio byte relay."""
 
 import asyncio
+import socket
+import struct
 import time
 
 import pytest
 
+from repro.proxy import splice
 from repro.proxy.splice import (
     destination_closing,
     over_high_water,
     relay_exactly,
-    relay_until_eof,
     splice_exactly,
     timeout,
 )
@@ -72,17 +74,6 @@ def test_relay_exactly_short_source_raises():
 
     with pytest.raises(asyncio.IncompleteReadError):
         asyncio.run(main())
-
-
-def test_relay_until_eof():
-    async def main():
-        sink = SinkWriter()
-        copied = await relay_until_eof(feed(b"hello world"), sink)
-        return copied, bytes(sink.data)
-
-    copied, data = asyncio.run(main())
-    assert copied == 11
-    assert data == b"hello world"
 
 
 def test_relay_zero_bytes():
@@ -183,6 +174,54 @@ def test_splice_exactly_leaves_pipelined_bytes_readable():
     assert leftover == b"NEXTREQ"
 
 
+@pytest.mark.parametrize(
+    "size, split, phases",
+    [
+        (2000, None, 1),  # head, body and trailer in one segment: phase 1 only
+        (2000, 1000, 2),  # the body's second half arrives with the trailer
+        (256 * 1024, None, 2),  # more than the first reads: phase 2 carries the rest
+    ],
+    ids=["2KB-one-read", "2KB-split", "256KB"],
+)
+def test_splice_exactly_byte_parity_with_a_pipelined_trailer(monkeypatch, size, split, phases):
+    installed = []
+
+    class Counting(splice._SpliceProtocol):
+        def __init__(self, *args):
+            installed.append(args[-1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(splice, "_SpliceProtocol", Counting)
+    body = bytes((i * 7 + i // 251) % 256 for i in range(size))
+    head = b"HTTP/1.1 200 OK\r\ncontent-length: %d\r\n\r\n" % size
+    trailer = b"GET /next HTTP/1.1\r\nHost: a.com\r\n\r\n"
+
+    async def main():
+        src = await _socket_pair()
+        dst = await _socket_pair()
+        splice.tune_transport(src[1].transport)  # reads of at most RELAY_CHUNK, as in the proxy
+        src_peer = src[2][1]
+        try:
+            first = size if split is None else split
+            src_peer.write(head + body[:first] + (trailer if split is None else b""))
+            await src_peer.drain()
+            await src[0].readuntil(b"\r\n\r\n")
+            if split is not None:
+                asyncio.get_running_loop().call_later(0.01, src_peer.write, body[first:] + trailer)
+            collector = asyncio.ensure_future(dst[2][0].readexactly(5 + size))
+            copied = await splice_exactly(src[0], src[1], dst[1], size, prefix=b"HEAD:")
+            await dst[1].drain()
+            return copied, await collector, await src[0].readexactly(len(trailer))
+        finally:
+            await _cleanup(src, dst)
+
+    copied, relayed, left = asyncio.run(main())
+    assert copied == size
+    assert relayed == b"HEAD:" + body
+    assert left == trailer
+    assert len(installed) == phases - 1
+
+
 def test_splice_exactly_eof_mid_body_raises():
     async def main():
         src = await _socket_pair()
@@ -197,6 +236,28 @@ def test_splice_exactly_eof_mid_body_raises():
             finally:
                 dst[1].write_eof()
                 await drain
+        finally:
+            await _cleanup(src, dst)
+
+    asyncio.run(main())
+
+
+def test_splice_exactly_fails_fast_when_the_source_resets_mid_body():
+    # The buffered part of the body goes out, then the splice must fail
+    # instead of waiting on a closed transport for the rest.
+    async def main():
+        src = await _socket_pair()
+        dst = await _socket_pair()
+        try:
+            peer_socket = src[2][1].get_extra_info("socket")
+            peer_socket.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            src[2][1].write(b"partial")
+            await src[2][1].drain()
+            await asyncio.sleep(0.05)
+            src[2][1].transport.abort()  # RST: the source reader gets an error, not EOF
+            await asyncio.sleep(0.05)
+            with pytest.raises((ConnectionError, asyncio.IncompleteReadError)):
+                await asyncio.wait_for(splice_exactly(src[0], src[1], dst[1], 1000), 2.0)
         finally:
             await _cleanup(src, dst)
 

@@ -1,23 +1,16 @@
-"""Tests for the zero-copy write paths (vectored write + sendfile).
+"""Tests for the vectored write path.
 
-Two layers: unit tests driving :func:`vectored_write` /
-:func:`sendfile_exactly` over real localhost sockets (asserting via
-:data:`splice_stats` which path actually ran), and an integration test
-proving the back-end server emits byte-identical responses whether a
-body leaves via sendfile or via the buffered vectored path.
+Unit tests drive :func:`vectored_write` over real localhost sockets
+(asserting via :data:`splice_stats` which path actually ran), and an
+integration test proves the back-end server emits byte-identical
+responses whether an object is cold or warm in its cache.
 """
 
 import asyncio
 
-import pytest
-
 from repro.proxy.backend import BackendServer
-from repro.proxy.splice import (
-    _tail_after,
-    sendfile_exactly,
-    splice_stats,
-    vectored_write,
-)
+from repro.proxy.http import USAGE_HEADER
+from repro.proxy.splice import _tail_after, splice_stats, vectored_write
 
 
 class SinkWriter:
@@ -146,96 +139,7 @@ def test_vectored_write_empty_pieces_is_a_noop():
     assert splice_stats.buffered_writes == 0
 
 
-def test_sendfile_exactly_over_socket(tmp_path):
-    payload = bytes(range(256)) * 2048  # 512 KiB
-    path = tmp_path / "body.bin"
-    path.write_bytes(payload)
-
-    async def main():
-        pair = await _socket_pair()
-        try:
-            splice_stats.reset()
-            collector = asyncio.ensure_future(_read_all(pair[2][0]))
-            with open(path, "rb") as body_file:
-                sent = await sendfile_exactly(pair[1], body_file, len(payload))
-            await pair[1].drain()
-            pair[1].write_eof()
-            received = await collector
-            return sent, received
-        finally:
-            await _cleanup(pair)
-
-    sent, received = asyncio.run(main())
-    assert sent == len(payload)
-    assert received == payload
-    assert splice_stats.sendfile_writes == 1
-    assert splice_stats.sendfile_bytes == len(payload)
-
-
-def test_sendfile_exactly_offset_and_count(tmp_path):
-    payload = b"0123456789" * 100
-    path = tmp_path / "body.bin"
-    path.write_bytes(payload)
-
-    async def main():
-        pair = await _socket_pair()
-        try:
-            collector = asyncio.ensure_future(_read_all(pair[2][0]))
-            with open(path, "rb") as body_file:
-                sent = await sendfile_exactly(pair[1], body_file, 300, offset=50)
-            await pair[1].drain()
-            pair[1].write_eof()
-            received = await collector
-            return sent, received
-        finally:
-            await _cleanup(pair)
-
-    sent, received = asyncio.run(main())
-    assert sent == 300
-    assert received == payload[50:350]
-
-
-def test_sendfile_exactly_short_file_raises(tmp_path):
-    path = tmp_path / "short.bin"
-    path.write_bytes(b"only-this")
-
-    async def main():
-        pair = await _socket_pair()
-        try:
-            drain = asyncio.ensure_future(_read_all(pair[2][0]))
-            try:
-                with open(path, "rb") as body_file:
-                    with pytest.raises(asyncio.IncompleteReadError):
-                        await sendfile_exactly(pair[1], body_file, 10_000)
-            finally:
-                pair[1].write_eof()
-                await drain
-        finally:
-            await _cleanup(pair)
-
-    asyncio.run(main())
-
-
-def test_sendfile_exactly_stream_fallback(tmp_path):
-    payload = b"z" * 200_000
-    path = tmp_path / "body.bin"
-    path.write_bytes(payload)
-
-    async def main():
-        sink = SinkWriter()
-        splice_stats.reset()
-        with open(path, "rb") as body_file:
-            sent = await sendfile_exactly(sink, body_file, len(payload))
-        return sent, bytes(sink.data)
-
-    sent, data = asyncio.run(main())
-    assert sent == len(payload)
-    assert data == payload
-    assert splice_stats.sendfile_writes == 0
-    assert splice_stats.buffered_writes == 1
-
-
-# -- backend integration: sendfile vs buffered byte parity ---------------
+# -- backend integration: cold and warm byte parity ----------------------
 
 
 async def _read_response(reader):
@@ -248,21 +152,28 @@ async def _read_response(reader):
     return head + body
 
 
-def _serve_rounds(use_sendfile, requests=3):
-    """Start a backend, fetch the same object ``requests`` times keep-alive."""
+def _without_usage(response):
+    return [
+        line
+        for line in response.split(b"\r\n")
+        if not line.startswith(USAGE_HEADER.encode())
+    ]
+
+
+def test_backend_cold_and_warm_responses_are_identical():
+    """The first (cold) fetch pays disk time, the rest hit the warm cache;
+    every one leaves through the same vectored write with the same bytes."""
 
     async def main():
         backend = BackendServer(
-            {"site.example": {"/index.html": 40_000}},
-            time_scale=0.0,
-            use_sendfile=use_sendfile,
+            {"site.example": {"/index.html": 40_000}}, time_scale=0.0
         )
         port = await backend.start()
         try:
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             try:
                 responses = []
-                for _ in range(requests):
+                for _ in range(3):
                     writer.write(
                         b"GET /index.html HTTP/1.1\r\n"
                         b"host: site.example\r\n"
@@ -274,40 +185,11 @@ def _serve_rounds(use_sendfile, requests=3):
                 writer.close()
         finally:
             await backend.stop()
-        return responses, backend.sendfile_served
+        return responses
 
-    return asyncio.run(main())
-
-
-def test_backend_sendfile_and_buffered_responses_are_identical():
-    splice_stats.reset()
-    via_sendfile, served_sendfile = _serve_rounds(use_sendfile=True)
-    sendfile_bodies = splice_stats.sendfile_writes
-    via_buffered, served_buffered = _serve_rounds(use_sendfile=False)
-
-    # The first (cold) request is buffered in both configurations; the
-    # warm ones diverge in mechanism but must not diverge in bytes.
-    assert via_sendfile == via_buffered
-    assert served_sendfile == 2  # requests 2..3 hit the warm cache
-    assert served_buffered == 0
-    # The last response's stats increment can race server shutdown, so
-    # require only that the sendfile machinery demonstrably engaged.
-    assert sendfile_bodies >= 1
-
-
-def test_backend_sendfile_cleans_up_body_file():
-    async def main():
-        backend = BackendServer(
-            {"site.example": {"/index.html": 1024}}, time_scale=0.0
-        )
-        await backend.start()
-        path = backend._body_path
-        await backend.stop()
-        return path, backend._body_path
-
-    path, after = asyncio.run(main())
-    assert path is not None
-    assert after is None
-    import os
-
-    assert not os.path.exists(path)
+    cold, *warm = asyncio.run(main())
+    head, body = cold.split(b"\r\n\r\n", 1)
+    assert body == b"x" * 40_000
+    # Only the usage header's disk charge tells a cold response apart.
+    assert [_without_usage(response) for response in warm] == [_without_usage(cold)] * 2
+    assert warm[0] == warm[1]
