@@ -217,11 +217,6 @@ def entry_points() -> Dict[str, List[str]]:
             "--topologies", "mixed_2tier", "--workloads", "steady,misbehave",
             "--faults", "none", "--processes", "2", "--duration", "6", "--seed", "0",
         ],
-        "scripts/tune.py": [
-            "fig3", "--algo", "es", "--budget", "8", "--seed", "0", "--duration", "4",
-            "--mu", "2", "--lam", "4", "--checkpoint", "{tmp}/smoke.jsonl",
-            "--best-out", "{tmp}/smoke-best.json",
-        ],
     }
     for path in sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py"))):
         rel = os.path.relpath(path, ROOT)
@@ -241,14 +236,12 @@ def run_entry(name: str, command: List[str], raw: str, hook_dir: str) -> Dict[st
     out = os.path.join(raw, name.replace("/", "__"))
     shutil.rmtree(out, ignore_errors=True)
     os.makedirs(out)
-    scratch = tempfile.mkdtemp(prefix="callmap-run-")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [hook_dir, SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     env["CALLMAP_OUT"] = out
     env["CALLMAP_PACKAGE"] = os.path.realpath(PACKAGE)
-    command = [part.replace("{tmp}", scratch) for part in command]
     started = time.monotonic()
     proc = subprocess.Popen(
         command, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
@@ -267,7 +260,6 @@ def run_entry(name: str, command: List[str], raw: str, hook_dir: str) -> Dict[st
             os.killpg(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
-    shutil.rmtree(scratch, ignore_errors=True)
     elapsed = time.monotonic() - started
     tail = output.decode("utf-8", "replace").strip().splitlines()[-1:] or [""]
     status = {"returncode": returncode, "last_line": tail[0][:200]}

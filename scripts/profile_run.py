@@ -25,10 +25,7 @@ event-loop stress (no cluster) isolating the simulator core, and
 localhost deployment (the data-plane hot path), and ``proxy-sharded``
 drives the same workload through the multi-worker ``SO_REUSEPORT``
 deployment (note: worker processes profile their own time — this
-profiles the supervisor + load-generator side).  ``tune-smoke`` runs a
-small config search twice — fork-per-sweep, then warm-pool — so the
-search harness's own overhead (pool churn vs reuse, memo bookkeeping)
-is profileable like the other hot paths.  ``parked`` registers 2 000
+profiles the supervisor + load-generator side).  ``parked`` registers 2 000
 idle tenants, lets them park, and profiles the end-of-run ``sync()``
 that replays their missed refills — the parked-replay cost on its own.
 ``fig3-calls`` is the 10 s fig-3 run of
@@ -175,24 +172,6 @@ def scenario_proxy_sharded():
     asyncio.run(run())
 
 
-def scenario_tune_smoke():
-    from repro.harness.parallel import WarmPool
-    from repro.harness.search import run_search
-
-    # Same tiny search twice; the profile shows what pool reuse saves
-    # (fork/teardown under the first run, none under the second).
-    kwargs = dict(algo="random", budget=8, seed=0, duration_s=3.0, batch_size=4)
-    run_search("fig3", processes=1, **kwargs)
-    with WarmPool(processes=1) as pool:
-        result = run_search("fig3", pool=pool, **kwargs)
-    print(
-        "tune-smoke scenario: {} evaluations, best objective {:.3f} "
-        "({:.1f}% better than defaults)".format(
-            len(result.records), result.best().objective, result.improvement_pct()
-        )
-    )
-
-
 def scenario_parked():
     from repro.core import GageCluster, GageConfig, Subscriber
     from repro.sim import Environment
@@ -297,7 +276,6 @@ SCENARIOS = {
     "engine": scenario_engine,
     "proxy": scenario_proxy,
     "proxy-sharded": scenario_proxy_sharded,
-    "tune-smoke": scenario_tune_smoke,
     "parked": scenario_parked,
     "fig3-calls": scenario_fig3_calls,
     "packet-calls": scenario_packet_calls,

@@ -42,6 +42,9 @@ from repro.core.grps import ResourceVector
 from repro.core.queues import RequestQueue
 from repro.core.subscriber import Subscriber
 
+#: Cap on a queue's positive balance, in cycles of its refill.
+CREDIT_CAP_CYCLES = 4.0
+
 #: One credit-memo entry: (reservation_grps, refill, hoard cap).
 _CreditEntry = Tuple[float, ResourceVector, ResourceVector]
 
@@ -74,7 +77,7 @@ class CreditLedger:
         """(one cycle's refill, hoard cap) for the subscriber with id ``sid``.
 
         The cap bounds idle-time credit hoarding at
-        ``credit_cap_cycles`` refills; callers further raise it to at
+        :data:`CREDIT_CAP_CYCLES` refills; callers further raise it to at
         least 1.5 predicted requests so heavy-tailed workloads can
         always dispatch (see :meth:`refill_cap`).
         """
@@ -98,7 +101,7 @@ class CreditLedger:
     def _compute_credit(self, subscriber: Subscriber) -> _CreditEntry:
         cycle = self.config.scheduling_cycle_s
         credit = subscriber.reservation_vector(self.config.generic_request).scaled(cycle)
-        capped = credit.scaled(self.config.credit_cap_cycles)
+        capped = credit.scaled(CREDIT_CAP_CYCLES)
         return (subscriber.reservation_grps, credit, capped)
 
     @staticmethod
@@ -108,7 +111,7 @@ class CreditLedger:
         """The effective hoard cap: never below 1.5 predicted requests.
 
         A subscriber whose requests are larger than
-        ``credit_cap_cycles``' worth of credit (heavy-tailed workloads)
+        :data:`CREDIT_CAP_CYCLES`' worth of credit (heavy-tailed workloads)
         could otherwise never dispatch again.
         """
         return capped.max(predicted.scaled(1.5))

@@ -18,6 +18,9 @@ from repro.core.config import (
 )
 from repro.core.grps import GENERIC_REQUEST, ResourceVector
 
+#: EWMA weight of the newest usage sample.
+EWMA_ALPHA = 0.25
+
 
 class UsageEstimator:
     """Predicts the resource usage of the next request in one queue.
@@ -37,7 +40,7 @@ class UsageEstimator:
     def __init__(
         self,
         policy: str = GageConfig.estimator_policy,
-        alpha: float = GageConfig.estimator_alpha,
+        alpha: float = EWMA_ALPHA,
         initial: ResourceVector = GENERIC_REQUEST,
     ) -> None:
         if policy not in ESTIMATOR_POLICIES:

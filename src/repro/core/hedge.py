@@ -182,15 +182,17 @@ class HedgeManager:
     def on_primary_dispatch(
         self, item: object, rpn_id: str, subscriber: str, predicted: ResourceVector
     ) -> None:
-        """Start tracking a freshly dispatched request."""
+        """Start tracking a freshly dispatched request.
+
+        The hedge timer is armed here and nowhere else, so a request
+        earns at most one clone.
+        """
         entry = _HedgeEntry(item, subscriber, rpn_id, predicted, self.now())
         self._entries[id(item)] = entry
         self.call_later(self.hedge_delay(), self._maybe_hedge, entry)
 
     def _maybe_hedge(self, entry: _HedgeEntry) -> None:
         if self._entries.get(id(entry.item)) is not entry or entry.resolved:
-            return
-        if len(entry.copies) > self.config.hedge_max_clones:
             return
         predicted = entry.copies[entry.primary]
         exclude = frozenset(entry.copies)
@@ -206,8 +208,6 @@ class HedgeManager:
         entry.copies[target] = predicted
         self._tm_fired.inc()
         self.hooks.dispatch_clone(entry.item, target, entry.subscriber)
-        if len(entry.copies) <= self.config.hedge_max_clones:
-            self.call_later(self.hedge_delay(), self._maybe_hedge, entry)
 
     def on_completion(self, item: object, rpn_id: str) -> bool:
         """Note one copy finishing on ``rpn_id``.

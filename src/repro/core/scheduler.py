@@ -173,7 +173,6 @@ class RequestScheduler:
         if estimator is None:
             estimator = UsageEstimator(
                 policy=self.config.estimator_policy,
-                alpha=self.config.estimator_alpha,
                 initial=self.config.generic_request,
             )
             self._estimators[name] = estimator
@@ -240,7 +239,7 @@ class RequestScheduler:
         credit, capped = self.ledger.cycle_credit(sid, subscriber)
         # The cap bounds idle-time credit hoarding, but must always
         # admit at least one predicted request or a subscriber whose
-        # requests are larger than credit_cap_cycles' worth of credit
+        # requests are larger than CREDIT_CAP_CYCLES' worth of credit
         # (heavy-tailed workloads) could never dispatch again.
         estimator = self._estimator(name)
         predicted = estimator.predict()

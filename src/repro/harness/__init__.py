@@ -23,37 +23,23 @@ from repro.harness.experiment import (
     run_spare_allocation,
 )
 from repro.harness.parallel import (
-    EvalMemo,
     ParallelSweep,
     SweepPoint,
     SweepPointError,
-    WarmPool,
     derive_seed,
 )
 from repro.harness.rdn_cost import RDNCostModel
-from repro.harness.search import (
-    Objective,
-    SearchResult,
-    SearchSpace,
-    run_search,
-    trajectory_chart,
-)
 from repro.harness.recorder import Recorder
 from repro.harness.tables import format_table
 
 __all__ = [
     "DeviationCurve",
-    "EvalMemo",
-    "Objective",
     "ParallelSweep",
     "RDNCostModel",
     "Recorder",
     "ScalabilityPoint",
-    "SearchResult",
-    "SearchSpace",
     "SweepPoint",
     "SweepPointError",
-    "WarmPool",
     "accounting_digest",
     "accounting_lines",
     "derive_seed",
@@ -65,7 +51,5 @@ __all__ = [
     "run_deviation_experiment",
     "run_isolation",
     "run_scalability",
-    "run_search",
     "run_spare_allocation",
-    "trajectory_chart",
 ]

@@ -137,7 +137,6 @@ def run_deviation_experiment(
     seed: int = 0,
     hedge_policy: Optional[str] = None,
     hedge_delay_s: Optional[float] = None,
-    hedge_max_clones: Optional[int] = None,
 ) -> DeviationCurve:
     """Measure deviation-from-reservation at one accounting cycle.
 
@@ -169,8 +168,6 @@ def run_deviation_experiment(
         hedge_kwargs["hedge_policy"] = hedge_policy
     if hedge_delay_s is not None:
         hedge_kwargs["hedge_delay_s"] = hedge_delay_s
-    if hedge_max_clones is not None:
-        hedge_kwargs["hedge_max_clones"] = hedge_max_clones
     config = GageConfig(
         accounting_cycle_s=accounting_cycle_s,
         spare_policy="none",

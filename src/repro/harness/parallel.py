@@ -9,29 +9,16 @@ while keeping three properties a serial loop would have:
   base seed together with the point's (sorted) parameters, so it depends
   on *what* the point is, never on which worker ran it or in what order
   points completed.
-- **Deterministic merge.**  Results, telemetry snapshots, and recorder
-  outputs come back in grid (axis) order regardless of completion order
-  — ``Pool.imap(..., chunksize=1)`` preserves input order, and the grid
-  is built in ``itertools.product`` order over the axes.
+- **Deterministic merge.**  Results come back in grid (axis) order
+  regardless of completion order — ``Pool.imap(..., chunksize=1)``
+  preserves input order, and the grid is built in ``itertools.product``
+  order over the axes.
 - **Attributable failures.**  A worker that raises doesn't poison the
   pool silently: the failing point's parameters travel back with the
   traceback and surface as a :class:`SweepPointError`.
 
 Runners must be module-level callables (the pool pickles them) and must
 take all their randomness from the injected seed parameter.
-
-Callers that run *many* sweeps (the search harness runs hundreds of
-small ones) have two reuse mechanisms, both preserving the contract
-above exactly:
-
-- :class:`WarmPool` — one long-lived ``multiprocessing.Pool`` shared by
-  any number of :class:`ParallelSweep` instances, eliminating the
-  fork-and-teardown cost of a fresh pool per ``run()``.
-- :class:`EvalMemo` — a cache of point outcomes keyed on the same
-  identity hash that derives the point's seed (runner + sorted params,
-  which already include the derived seed, + the telemetry flag), so
-  re-running an already-evaluated point returns the cached result
-  object without touching a worker.
 """
 
 from __future__ import annotations
@@ -39,11 +26,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import multiprocessing
-import multiprocessing.pool
 import os
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry import registry as _telemetry
 
@@ -95,111 +81,13 @@ def _run_point(payload):
     their tracebacks, so the traceback is stringified here and re-raised
     as :class:`SweepPointError` in the parent.
     """
-    runner, params, capture_telemetry = payload
+    runner, params = payload
     _telemetry.reset()
     try:
         result = runner(**params)
     except Exception as exc:  # noqa: BLE001 - re-raised, attributed, in the parent
         return ("error", "{}: {}".format(type(exc).__name__, exc), traceback.format_exc())
-    snapshot = _telemetry.get_registry().snapshot() if capture_telemetry else None
-    return ("ok", result, snapshot)
-
-
-class WarmPool:
-    """One long-lived worker pool shared across many sweep runs.
-
-    A fresh ``multiprocessing.Pool`` per ``run()`` pays process fork and
-    teardown every sweep — dominant when the sweeps themselves are short
-    (the search harness runs hundreds of 4-point grids).  A ``WarmPool``
-    forks once, lazily on first use, and every :class:`ParallelSweep`
-    handed it dispatches through the same workers.  Results are
-    bit-identical to a fresh pool: seeds derive from point identity and
-    ``imap(..., chunksize=1)`` merges in input order, so worker reuse
-    is unobservable.
-
-    Use as a context manager, or call :meth:`close` when done::
-
-        with WarmPool(processes=4) as pool:
-            for grid in grids:
-                ParallelSweep(run_one, pool=pool, **grid).run()
-    """
-
-    def __init__(self, processes: Optional[int] = None) -> None:
-        if processes is not None and processes < 1:
-            raise ValueError("a warm pool needs at least one process")
-        self._requested = processes
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-
-    @property
-    def processes(self) -> int:
-        """Worker count the pool has (or will be created with)."""
-        return self._requested or (os.cpu_count() or 1)
-
-    def imap(self, fn: Callable[[Any], Any], payloads: Sequence[Any]) -> Iterator[Any]:
-        """Lazily map ``fn`` over ``payloads`` in input order."""
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(processes=self.processes)
-        return self._pool.imap(fn, payloads, chunksize=1)
-
-    def close(self) -> None:
-        """Shut the workers down (idempotent)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "WarmPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class EvalMemo:
-    """A cache of sweep-point outcomes keyed on point identity.
-
-    The key hashes the runner's identity and the point's sorted
-    parameters — which, under seed injection, already include the
-    derived seed — plus the telemetry-capture flag.  Because a point's
-    result is a pure function of exactly those inputs (the determinism
-    contract), a hit can return the stored outcome object as-is:
-    byte-identical, same object identity, no worker involved.
-
-    Only successful outcomes are stored; a failing point re-runs every
-    time (its error may be environmental).  ``hits``/``misses`` count
-    lookups for observability.
-    """
-
-    def __init__(self) -> None:
-        self._store: Dict[str, Any] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @staticmethod
-    def key_for(runner: Runner, params: Dict[str, Any], capture_telemetry: bool) -> str:
-        """The identity hash of one evaluation (hex sha256)."""
-        canonical = "{}.{}|{}|{}".format(
-            getattr(runner, "__module__", "?"),
-            getattr(runner, "__qualname__", repr(runner)),
-            sorted((str(k), repr(v)) for k, v in params.items()),
-            bool(capture_telemetry),
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def get(self, key: str) -> Optional[Any]:
-        """The stored outcome for ``key``, or None (counted either way)."""
-        outcome = self._store.get(key)
-        if outcome is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return outcome
-
-    def put(self, key: str, outcome: Any) -> None:
-        self._store[key] = outcome
+    return ("ok", result)
 
 
 class ParallelSweep:
@@ -227,16 +115,6 @@ class ParallelSweep:
         injection (the runner manages its own determinism).
     seed_param:
         Keyword the derived seed is injected under.
-    capture_telemetry:
-        When True, each worker's metric-registry snapshot for its point
-        is collected into :attr:`telemetry` (grid order).
-    pool:
-        A :class:`WarmPool` to dispatch through instead of creating (and
-        tearing down) a fresh pool inside ``run()``.  Mutually exclusive
-        with ``processes``.
-    memo:
-        An :class:`EvalMemo`; already-evaluated points are served from
-        it and fresh successful outcomes are stored into it.
     """
 
     def __init__(
@@ -245,9 +123,6 @@ class ParallelSweep:
         processes: Optional[int] = None,
         base_seed: Optional[int] = None,
         seed_param: str = "seed",
-        capture_telemetry: bool = False,
-        pool: Optional[WarmPool] = None,
-        memo: Optional[EvalMemo] = None,
         **axes: Sequence[Any],
     ) -> None:
         if not axes:
@@ -257,8 +132,6 @@ class ParallelSweep:
                 raise ValueError("axis {!r} is empty".format(name))
         if processes is not None and processes < 0:
             raise ValueError("processes must be >= 0")
-        if pool is not None and processes is not None:
-            raise ValueError("pass either a warm pool or a process count, not both")
         if base_seed is not None and seed_param in axes:
             raise ValueError(
                 "axis {!r} collides with the injected seed parameter".format(seed_param)
@@ -271,11 +144,6 @@ class ParallelSweep:
         self.processes = processes
         self.base_seed = base_seed
         self.seed_param = seed_param
-        self.capture_telemetry = capture_telemetry
-        self.pool = pool
-        self.memo = memo
-        #: Per-point telemetry snapshots in grid order (when captured).
-        self.telemetry: List[Optional[Dict[str, object]]] = []
 
     # -- grid construction --------------------------------------------------
 
@@ -303,57 +171,32 @@ class ParallelSweep:
         :class:`SweepPointError`.
         """
         grid = self.grid()
-
-        # Serve memo hits without touching a worker; only misses become
-        # payloads.  The memo key covers runner + params (seed included)
-        # + the telemetry flag — everything an outcome is a function of.
-        keys: List[Optional[str]] = []
-        cached: List[Optional[Any]] = []
-        pending = []
-        for params in grid:
-            key = None
-            outcome = None
-            if self.memo is not None:
-                key = EvalMemo.key_for(self.runner, params, self.capture_telemetry)
-                outcome = self.memo.get(key)
-            keys.append(key)
-            cached.append(outcome)
-            if outcome is None:
-                pending.append((self.runner, params, self.capture_telemetry))
-
-        # chunksize=1 keeps worker assignment irrelevant to results:
-        # imap yields outcomes in payload order no matter which worker
-        # ran what (and lazily, so progress tracks completion), and
-        # seeds depend only on the params.
+        payloads = [(self.runner, params) for params in grid]
         processes = self.processes
-        if processes is None and self.pool is None:
-            processes = min(len(pending), os.cpu_count() or 1)
-
-        def consume(fresh: Iterator[Any]) -> None:
+        if processes is None:
+            processes = min(len(grid), os.cpu_count() or 1)
+        # Inline (processes=0), map() is lazy, so evaluation still
+        # interleaves with the merge loop — bit-identical to a pool of
+        # one.  Pooled, chunksize=1 keeps worker assignment irrelevant
+        # to results: imap yields outcomes in payload order no matter
+        # which worker ran what (and lazily, so progress tracks
+        # completion), and seeds depend only on the params.
+        pool = multiprocessing.Pool(processes=processes) if processes else None
+        try:
+            if pool is None:
+                outcomes = map(_run_point, payloads)
+            else:
+                outcomes = pool.imap(_run_point, payloads, chunksize=1)
             self.points = []
-            self.telemetry = []
-            for params, key, hit in zip(grid, keys, cached):
-                outcome = hit if hit is not None else next(fresh)
+            for params, outcome in zip(grid, outcomes):
                 if outcome[0] == "error":
                     raise SweepPointError(params, outcome[1], outcome[2])
-                if hit is None and self.memo is not None and key is not None:
-                    self.memo.put(key, outcome)
                 self.points.append(SweepPoint(params=params, result=outcome[1]))
-                self.telemetry.append(outcome[2])
                 if progress is not None:
                     progress(params)
-
-        if not pending:
-            consume(iter(()))
-        elif self.pool is not None:
-            consume(self.pool.imap(_run_point, pending))
-        elif processes == 0:
-            # Inline: map() is lazy, so evaluation still interleaves
-            # with the merge loop — bit-identical to a pool of one.
-            consume(map(_run_point, pending))
-        else:
-            with multiprocessing.Pool(processes=processes) as fresh_pool:
-                consume(fresh_pool.imap(_run_point, pending, chunksize=1))
+        finally:
+            if pool is not None:
+                pool.terminate()
         return self
 
     # -- queries -----------------------------------------------------------

@@ -11,7 +11,7 @@ def make_ledger(**config_kwargs):
 
 
 def test_cycle_credit_is_one_cycles_reservation():
-    ledger = make_ledger(scheduling_cycle_s=0.010, credit_cap_cycles=4.0)
+    ledger = make_ledger(scheduling_cycle_s=0.010)
     sub = Subscriber("a", reservation_grps=100)
     credit, capped = ledger.cycle_credit(0, sub)
     # 100 GRPS * 10 ms = 1 generic request per cycle.

@@ -235,10 +235,10 @@ def test_no_alternate_leaves_request_unhedged():
 def test_max_clones_bounds_extra_copies():
     env = Environment()
     log = HookLog(clone_target="rpn2")
-    manager = make_manager(env, log, hedge_delay_s=0.010, hedge_max_clones=1)
+    manager = make_manager(env, log, hedge_delay_s=0.010)
 
     # Make every pick return a fresh node so cloning could in principle
-    # continue forever; the cap must stop it at one extra copy.
+    # continue forever; one timer per dispatch stops it at one extra copy.
     targets = iter(["rpn2", "rpn3", "rpn4", "rpn5"])
     manager.hooks.pick_clone = lambda item, pred, excl: next(targets)
     item = object()

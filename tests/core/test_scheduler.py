@@ -74,7 +74,7 @@ def test_reserved_credit_limits_dispatch_rate():
 
 def test_credit_accumulates_when_idle_then_bursts_capped():
     sub = Subscriber("a", reservation_grps=100)
-    config = GageConfig(credit_cap_cycles=4.0, spare_policy="none", dispatch_window_s=10.0)
+    config = GageConfig(spare_policy="none", dispatch_window_s=10.0)
     scheduler, queues, _acc, _nodes, dispatched = build([sub], config=config)
     for _ in range(10):  # 10 idle cycles; cap limits accumulation to 4
         scheduler.run_cycle()
@@ -306,7 +306,7 @@ def test_node_outstanding_never_negative_after_feedback():
 def test_reserved_dispatch_conservation_property(res_a, res_b, cycles):
     """Reserved-pass dispatches never exceed reservation x time + cap burst."""
     subs = [Subscriber("a", res_a), Subscriber("b", res_b)]
-    config = GageConfig(spare_policy="none", credit_cap_cycles=4.0)
+    config = GageConfig(spare_policy="none")
     scheduler, queues, _acc, _nodes, dispatched = build(subs, rpns=16, config=config)
     fill(queues, "a", 100_000)
     fill(queues, "b", 100_000)

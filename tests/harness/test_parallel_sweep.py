@@ -1,5 +1,5 @@
 """ParallelSweep: pool-of-1 == serial, assignment-independent seeds,
-and attributable worker failures."""
+attributable worker failures, and per-completion progress reporting."""
 
 import random
 
@@ -134,13 +134,25 @@ def test_inherited_queries_work_on_merged_results():
     assert [value for value, _ in column] == [1, 2]
 
 
-def test_telemetry_snapshots_merge_in_grid_order():
-    sweep = ParallelSweep(
-        mini_simulation,
-        processes=1,
-        base_seed=9,
-        capture_telemetry=True,
-        rate=[30.0, 60.0],
-    ).run()
-    assert len(sweep.telemetry) == 2
-    assert all(snapshot is not None for snapshot in sweep.telemetry)
+# -- per-completion progress ------------------------------------------------
+
+
+def test_progress_fires_after_each_completion_not_up_front():
+    seen = []
+
+    def observe(params):
+        # By the time the callback fires, the point's result is merged:
+        # a callback fired before evaluation would see points empty here.
+        assert sweep.points[-1].params == params
+        seen.append((params["rate"], params["size"], len(sweep.points)))
+
+    sweep = ParallelSweep(seeded_sum, processes=2, base_seed=4, rate=[1.0, 2.0], size=[3])
+    sweep.run(progress=observe)
+    assert seen == [(1.0, 3, 1), (2.0, 3, 2)]
+
+
+def test_progress_fires_in_grid_order_inline():
+    order = []
+    sweep = ParallelSweep(seeded_sum, processes=0, base_seed=6, rate=[1, 2, 3], size=[1])
+    sweep.run(progress=lambda p: order.append(p["rate"]))
+    assert order == [1, 2, 3]

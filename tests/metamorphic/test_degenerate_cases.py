@@ -1,9 +1,9 @@
 """Degenerate cases: a configuration that reduces to a simpler one must
 behave exactly like it.
 
-A hedge that never fires is hedging off.  ``hedge_max_clones=0`` is
-rejected by config validation, so the never-firing hedge is a delay no
-run reaches (1e9 s).  The hedge manager still tracks every request, so
+A hedge that never fires is hedging off.  No knob asks for zero clones
+(each hedged request earns exactly one clone timer), so the
+never-firing hedge is a delay no run reaches (1e9 s).  The hedge manager still tracks every request, so
 the relation checks that tracking alone — no clone charged, nothing
 cancelled or refunded — leaves every charge, completion and byte as it
 was, on the simulator and on real sockets.
