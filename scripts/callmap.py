@@ -15,7 +15,9 @@ first ``call`` event of every code object under ``src/repro`` and
 returns ``None``, so no line events are ever traced.  Each process
 appends what it sees to its own per-pid file at once, so forked pool
 workers that leave through ``os._exit`` and killed proxy workers still
-count.  ``settrace`` rather than ``setprofile``: the call-budget test
+count; at exit the hook runs the garbage collector while still tracing,
+so code run by finalisers is recorded the same way on every run.
+``settrace`` rather than ``setprofile``: the call-budget test
 runs ``cProfile``, which takes over the profile hook but leaves the
 trace hook alone.  ``sys.settrace`` itself is wrapped so that nothing
 can switch the hook off: pytest-benchmark pauses tracing around every
@@ -69,6 +71,8 @@ SELF_CHECK = (
 ENTRY_TIMEOUT_S = 3600
 
 HOOK = '''\
+import atexit
+import gc
 import os
 import sys
 import threading
@@ -124,6 +128,11 @@ def _install():
     sys.settrace = settrace
     real_settrace(trace)
     threading.settrace(trace)
+    # A generator left suspended in a reference cycle is finalised when
+    # the collector happens to run, which may be after tracing stops at
+    # interpreter exit.  Collecting at exit, still traced, records the
+    # code it runs (a ``with`` block's ``__exit__``, say) on every run.
+    atexit.register(gc.collect)
 
 
 if _OUT:

@@ -100,9 +100,12 @@ class Connection:
         self.snd_una = isn
         self.rcv_isn: Optional[int] = None
         self.rcv_nxt: Optional[int] = None
-        #: Fires with this connection once the handshake completes.
+        #: Fires with ``None`` once the handshake completes (or fails with
+        #: the connection's error).  Not with the connection: the
+        #: connection holds this event, and a value pointing back would be
+        #: a cycle that outlives the request.
         self.established: Event = Event(self.env)
-        #: Fires once the connection reaches CLOSED.
+        #: Fires with ``None`` once the connection reaches CLOSED.
         self.closed: Event = Event(self.env)
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -210,7 +213,7 @@ class Connection:
     def _enter_established(self) -> None:
         self.state = TCPState.ESTABLISHED
         if not self.established.triggered:
-            self.established.succeed(self)
+            self.established.succeed(None)
 
     def _enter_closed(self) -> None:
         if self.state is TCPState.CLOSED and self.closed.triggered:
@@ -218,7 +221,7 @@ class Connection:
         self.state = TCPState.CLOSED
         self.stack._forget(self)
         if not self.closed.triggered:
-            self.closed.succeed(self)
+            self.closed.succeed(None)
 
     def _enter_time_wait(self) -> None:
         self.state = TCPState.TIME_WAIT

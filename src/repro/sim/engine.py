@@ -13,8 +13,10 @@ from repro.sim.process import Process, ProcessGenerator
 from repro.telemetry.registry import get_registry
 
 __all__ = [
+    "Deadline",
     "Environment",
     "NORMAL_PRIORITY",
+    "TimerStream",
     "URGENT_PRIORITY",
 ]
 
@@ -35,51 +37,156 @@ _Callback = Tuple[Callable[..., object], Tuple[object, ...]]
 _HeapItem = Tuple[float, int, int, object]
 
 
-class _StreamedSchedule:
-    """A :meth:`Environment.call_later_each` batch, one heap entry at a time.
+#: An item slot of a :class:`TimerStream` that fired or was released
+#: (items themselves may be ``None``).
+_DONE: Any = object()
 
-    The batch is held sorted by fire time (ties in input order) with the
-    sequence number the per-item ``call_later`` loop would have given each
-    item.  Only the next item is on the heap, under exactly that loop's
-    key; firing it pushes its successor *before* calling ``fn``, so the
-    heap always holds the batch's earliest pending item even if ``fn``
-    raises or stops the run.
+
+class TimerStream:
+    """Timers that fire in the order they were armed, one heap entry at a time.
+
+    Each timer is an item, a fire time and the sequence number reserved
+    when it was armed, so it fires ``fn(item)`` under exactly the heap key
+    ``(time, NORMAL_PRIORITY, seq)`` that a ``call_later`` or
+    :class:`Timeout` created at that moment would have had.  Fire times
+    must not decrease in arming order (one fixed delay armed as time
+    advances, or a batch sorted up front), so the stream's earliest
+    pending timer is its first, and only that one is on the heap.
+
+    :meth:`release` withdraws a timer and drops its item at once.  If the
+    released timer's entry is already on the heap, that entry still pops
+    at its time, as one event that calls nothing and pushes the next
+    pending timer; so a stream of fixed-delay deadlines that are all
+    released costs at most one event per delay, however many it arms.
+    Firing pushes the successor *before* calling ``fn``, so the heap
+    always holds the stream's earliest pending timer even if ``fn`` raises
+    or stops the run.  The heap entry's payload is built per push, so a
+    stream nothing else references is freed once its last timer fires.
     """
 
-    __slots__ = ("_heap", "_fn", "_times", "_seqs", "_items", "_next", "_callback")
+    __slots__ = ("_env", "_fn", "_times", "_seqs", "_items", "_base", "_head", "_pushed")
 
-    def __init__(
-        self,
-        heap: List[_HeapItem],
-        fn: Callable[[Any], object],
-        times: array[float],
-        seqs: array[int],
-        items: List[Any],
-    ) -> None:
-        self._heap = heap
+    def __init__(self, env: "Environment", fn: Callable[[Any], object]) -> None:
+        self._env = env
         self._fn = fn
+        self._times = array("d")
+        self._seqs = array("q")
+        self._items: List[Any] = []
+        #: Token of ``_items[0]``: tokens number timers in arming order.
+        self._base = 0
+        #: Index of the first timer neither fired nor released.
+        self._head = 0
+        #: Token of the timer whose key is on the heap, or -1.
+        self._pushed = -1
+
+    def arm(self, delay: float, item: Any) -> int:
+        """Fire ``fn(item)`` ``delay`` seconds from now; returns its token."""
+        if delay < 0:
+            raise SimulationError("cannot schedule into the past (delay={})".format(delay))
+        env = self._env
+        when = env.now + delay
+        times = self._times
+        if times and when < times[-1]:
+            raise SimulationError(
+                "timer at {} armed after one at {}".format(when, times[-1])
+            )
+        env._seq += 1
+        times.append(when)
+        self._seqs.append(env._seq)
+        self._items.append(item)
+        if self._pushed < 0:  # nothing pending: this timer is the head
+            self._push()
+        return self._base + len(times) - 1
+
+    def release(self, token: int) -> None:
+        """Withdraw timer ``token``; a no-op once it has fired or been released."""
+        index = token - self._base
+        if index < self._head:
+            return
+        self._items[index] = _DONE
+        if index == self._head:
+            self._advance()
+
+    def _load(self, times: array[float], seqs: array[int], items: List[Any]) -> None:
+        """Arm a batch already sorted by time under reserved sequence numbers."""
         self._times = times
         self._seqs = seqs
         self._items = items
-        self._next = 0
-        # One callback payload serves every item of the batch.
-        self._callback: Optional[_Callback] = (self._fire, ())
-        heapq.heappush(heap, (times[0], NORMAL_PRIORITY, seqs[0], self._callback))
+        self._push()
+
+    def _push(self) -> None:
+        head = self._head
+        self._pushed = self._base + head
+        heapq.heappush(
+            self._env._heap,
+            (self._times[head], NORMAL_PRIORITY, self._seqs[head], (self._fire, ())),
+        )
+
+    def _advance(self) -> None:
+        """Move the head past timers that are done; drop a long done prefix."""
+        items = self._items
+        head = self._head
+        count = len(items)
+        while head < count and items[head] is _DONE:
+            head += 1
+        if head >= 1024 and 2 * head >= count:
+            cut = min(head, count - 1)  # keep the last time for arm()'s check
+            del self._times[:cut]
+            del self._seqs[:cut]
+            del items[:cut]
+            self._base += cut
+            head -= cut
+        self._head = head
 
     def _fire(self) -> None:
-        position = self._next
-        item = self._items[position]
-        self._items[position] = None  # the batch no longer keeps it alive
-        position += 1
-        self._next = position
-        if position < len(self._times):
-            heapq.heappush(
-                self._heap,
-                (self._times[position], NORMAL_PRIORITY, self._seqs[position], self._callback),
-            )
-        else:
-            self._callback = None  # break the cycle so the batch is freed now
-        self._fn(item)
+        item = _DONE
+        if self._pushed == self._base + self._head:  # else released once pushed
+            items = self._items
+            item = items[self._head]
+            items[self._head] = _DONE  # the stream no longer keeps it alive
+            self._advance()
+        self._pushed = -1
+        if self._head < len(self._items):
+            self._push()
+        if item is not _DONE:
+            self._fn(item)
+
+
+class Deadline(Event):
+    """A :class:`Timeout` armed through a :class:`TimerStream`.
+
+    It occurs with ``None`` under the key a ``Timeout`` of the same delay
+    created at the same moment would have, and runs its callbacks as the
+    dispatch loop would have run the ``Timeout``'s.  :meth:`release`
+    withdraws it: it never occurs, and neither it nor the stream keeps a
+    reference to what was waiting on it.
+    """
+
+    __slots__ = ("_stream", "_token")
+
+    def __init__(self, stream: TimerStream, delay: float) -> None:
+        super().__init__(stream._env)
+        self._stream = stream
+        self._token = stream.arm(delay, self)
+
+    @staticmethod
+    def stream(env: "Environment") -> TimerStream:
+        """A stream to arm deadlines on, one per fixed delay."""
+        return TimerStream(env, Deadline._occur)
+
+    def release(self) -> None:
+        """Withdraw the deadline; a no-op once it has occurred."""
+        if self.callbacks is not None:
+            self.callbacks = []
+            self._stream.release(self._token)
+
+    def _occur(self) -> None:
+        self._ok = True
+        self._value = None
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:  # type: ignore[union-attr]
+            callback(self)
 
 
 class Environment:
@@ -117,8 +224,8 @@ class Environment:
         #: Lifetime count of events processed by :meth:`step` / :meth:`run`.
         self.events_dispatched = 0
         #: Most heap entries seen at once (telemetry: scheduling pressure).
-        #: A :meth:`call_later_each` batch counts as one entry, however
-        #: many of its items are still pending.
+        #: A :class:`TimerStream` counts as one entry, however many of its
+        #: timers are still pending.
         self.queue_depth_peak = 0
         self._events_published = 0
 
@@ -187,9 +294,7 @@ class Environment:
         # order; reserve that block and keep each item's number.
         first = self._seq + 1
         self._seq += len(times)
-        _StreamedSchedule(  # pushes its first item; each firing pushes the next
-            self._heap,
-            fn,
+        TimerStream(self, fn)._load(  # pushes its first item; each firing pushes the next
             array("d", map(times.__getitem__, order)),
             array("q", (first + index for index in order)),
             [items[index] for index in order],
@@ -358,7 +463,7 @@ class Environment:
 
         ``repro.sim.queue_depth`` (now) and ``repro.sim.queue_depth_peak``
         (largest seen) count heap entries, not pending callbacks: a
-        :meth:`call_later_each` batch is one entry until its last item fires.
+        :class:`TimerStream` is one entry while any of its timers is pending.
         """
         registry = get_registry()
         delta = self.events_dispatched - self._events_published

@@ -72,7 +72,11 @@ class Resource:
         return len(self._queue)
 
     def request(self) -> Request:
-        """Claim one unit of capacity; the returned event fires when granted."""
+        """Claim one unit of capacity; the returned event fires when granted.
+
+        It fires with ``None``, not with itself: an event that is its own
+        value is a reference cycle, left for the garbage collector.
+        """
         req = Request(self)
         self._queue.append(req)
         self._dispatch()
@@ -95,5 +99,5 @@ class Resource:
             req = self._queue.pop(0)
             self._users.append(req)
             req._ok = True
-            req._value = req
+            req._value = None
             self.env.schedule(req, delay=0.0, priority=URGENT_PRIORITY)

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 from repro.net.addresses import IPAddress
 from repro.net.tcp import Connection, ConnectionError_, HostStack
-from repro.sim.engine import Environment
+from repro.sim.engine import Deadline, Environment
 from repro.workload.request import RequestRecord, WebResponse, issue_delays
 
 
@@ -42,7 +42,16 @@ class ClientStats:
 
 
 class ClientFleet:
-    """Drives a trace against the cluster IP from a set of client hosts."""
+    """Drives a trace against the cluster IP from a set of client hosts.
+
+    Each request waits at most ``request_timeout_s`` for its connection's
+    handshake (``None``: for ever).  The deadline is armed on a
+    :class:`~repro.sim.engine.TimerStream` and released as soon as the
+    handshake completes or the connect is refused, so it leaves the
+    engine heap then and a finished request holds no engine state.  The
+    stream fires deadlines in arming order, so the timeout must not
+    shrink once requests have been issued.
+    """
 
     def __init__(
         self,
@@ -61,6 +70,7 @@ class ClientFleet:
         self.request_timeout_s = request_timeout_s
         self.stats = ClientStats()
         self._next_stack = 0
+        self._deadlines = Deadline.stream(env)
 
     def run_trace(self, records: Sequence[RequestRecord]) -> None:
         """Schedule every record for issue at its trace time."""
@@ -77,14 +87,13 @@ class ClientFleet:
         request = record.to_request()
         request.issued_at = started
         conn = stack.connect(self.cluster_ip, self.port)
-        deadline = (
-            self.env.timeout(self.request_timeout_s)
-            if self.request_timeout_s is not None
-            else None
-        )
         try:
-            if deadline is not None:
-                result = yield conn.established | deadline
+            if self.request_timeout_s is not None:
+                deadline = Deadline(self._deadlines, self.request_timeout_s)
+                try:
+                    result = yield conn.established | deadline
+                finally:
+                    deadline.release()
                 if conn.established not in result:
                     conn.abort()
                     self.stats.failed += 1
@@ -111,5 +120,8 @@ class ClientFleet:
             self.stats.bytes_received += received
             self.stats.latencies_s.append(self.env.now - started)
             self.stats.completions.append((self.env.now, record.host))
-        except ConnectionError_:
+        except ConnectionError_ as error:
+            # The connection keeps the error it failed with; the traceback
+            # through this frame would close a cycle back to it.
+            error.__traceback__ = None
             self.stats.failed += 1
