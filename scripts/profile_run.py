@@ -36,15 +36,22 @@ completed request, the figure that test holds to its ceiling.
 prints the same figures that test checks: calls per completed request
 and the address hash/compare, link ``total_len`` and ``Packet.copy``
 ``setattr`` calls it holds at zero.
+``hosting`` builds the benchmark's ``sim_flow_many_subs`` cluster (2 000
+subscribers × 8 RPNs, one worker per site) under :mod:`tracemalloc` and
+prints the build's traced bytes and gc-tracked objects, in total and per
+(site, node) hosting, the exact cost of hosting one more site on one
+node, and the gen-0/1/2 collections during the build and during the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
 import os
+import tracemalloc
 
 # The script must run from a checkout without installation.
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -253,6 +260,67 @@ def report_packet_calls(stats):
         print("{} calls: {}".format(name, calls(stats, callee, caller_file, caller)))
 
 
+class CollectionCounter:
+    """Counts the collector's passes per generation while installed."""
+
+    def __init__(self):
+        self.counts = [0, 0, 0]
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self.counts[info["generation"]] += 1
+
+    def __enter__(self):
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc):
+        gc.callbacks.remove(self)
+
+
+def build_hosting():
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    from simbench import build_flow_many_subs
+
+    from repro.cluster import Machine, WebServer
+
+    gc.collect()
+    tracked_before = len(gc.get_objects())
+    with CollectionCounter() as collections:
+        tracemalloc.start()
+        case = build_flow_many_subs(12, 1.0)
+        traced, _peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    tracked = len(gc.get_objects()) - tracked_before
+    cluster = case.cluster
+    hostings = sum(len(server.sites) for server in cluster.webservers)
+    print("hosting scenario: {} hostings ({} sites x {} nodes)".format(
+        hostings, len(cluster.subscribers), len(cluster.webservers)))
+    print("build: {} traced bytes ({:.0f} per hosting), {} gc-tracked objects "
+          "({:.2f} per hosting), collections gen-0/1/2 {}".format(
+              traced, traced / hostings, tracked, tracked / hostings, collections.counts))
+
+    # One more hosting on a node that shares the cluster's catalog.
+    server = WebServer(Machine(cluster.env, "probe", fs=cluster.machines[0].fs), workers_per_site=1)
+    server.host_site("warm-up")  # the node's own first-site allocations
+    gc.collect()
+    tracked_before = len(gc.get_objects())
+    tracemalloc.start()
+    server.host_site(cluster.subscribers[0].name)
+    traced, _peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    print("one more hosting: {} traced bytes, {} gc-tracked objects".format(
+        traced, len(gc.get_objects()) - tracked_before))
+    return case
+
+
+def scenario_hosting(case):
+    with CollectionCounter() as collections:
+        case.cluster.run(case.end_s)
+    print("run: collections gen-0/1/2 {}".format(collections.counts))
+    return len(case.cluster.completions)
+
+
 def print_engine_counts():
     """Print the engine's exact work counts from the telemetry registry.
 
@@ -279,6 +347,7 @@ SCENARIOS = {
     "parked": scenario_parked,
     "fig3-calls": scenario_fig3_calls,
     "packet-calls": scenario_packet_calls,
+    "hosting": scenario_hosting,
 }
 
 #: Scenarios whose set-up runs before the profiler starts; the scenario
@@ -286,6 +355,7 @@ SCENARIOS = {
 SETUPS = {
     "fig3-calls": build_fig3_calls,
     "packet-calls": import_golden_packet_cluster,
+    "hosting": build_hosting,
 }
 
 

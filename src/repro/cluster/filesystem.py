@@ -2,7 +2,8 @@
 
 Each hosted web site's document tree is registered here; the web server
 consults it for existence and size, the buffer cache and disk model for
-the cost of actually reading the bytes.
+the cost of actually reading the bytes.  A tree is the same on every
+node, so a cluster gives all its machines one catalog.
 """
 
 from __future__ import annotations

@@ -19,6 +19,8 @@ from repro.resources import ResourceVector
 class SimProcess:
     """One simulated OS process/thread with cumulative resource usage."""
 
+    __slots__ = ("pid", "name", "parent", "children", "alive", "cpu_s", "disk_s", "net_bytes")
+
     def __init__(self, pid: int, name: str, parent: Optional["SimProcess"]) -> None:
         self.pid = pid
         self.name = name

@@ -18,7 +18,7 @@ object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids a layer cycle
@@ -35,22 +35,43 @@ from repro.workload.request import CostModel, WebRequest, WebResponse
 CompletionHook = Callable[[str, WebRequest, ResourceVector, float], None]
 
 
-@dataclass
+def site_docroot(host: str) -> str:
+    """Where ``host``'s document tree sits in the file-system catalog.
+
+    Interned, so every node hosting the site shares the one string.
+    """
+    return sys.intern("/sites/{}".format(host))
+
+
 class Site:
     """One hosted web site on one back-end node."""
 
-    host: str
-    docroot: str
-    master: SimProcess
-    workers: Resource
-    worker_procs: List[SimProcess]
-    completed: int = 0
-    errors: int = 0
-    #: Requests in service; while > 0 the site stays in the touched set.
-    busy: int = 0
-    #: Registration ordinal on this server: the accounting walk's order.
-    index: int = 0
-    _rr: int = field(default=0, repr=False)
+    __slots__ = (
+        "host", "docroot", "master", "workers", "worker_procs",
+        "completed", "errors", "busy", "index", "_rr",
+    )
+
+    def __init__(
+        self,
+        host: str,
+        docroot: str,
+        master: SimProcess,
+        workers: Resource,
+        worker_procs: List[SimProcess],
+        index: int = 0,
+    ) -> None:
+        self.host = host
+        self.docroot = docroot
+        self.master = master
+        self.workers = workers
+        self.worker_procs = worker_procs
+        self.completed = 0
+        self.errors = 0
+        #: Requests in service; while > 0 the site stays in the touched set.
+        self.busy = 0
+        #: Registration ordinal on this server: the accounting walk's order.
+        self.index = index
+        self._rr = 0
 
     def next_worker(self) -> SimProcess:
         """Round-robin pick of the worker process to charge."""
@@ -100,16 +121,23 @@ class WebServer:
         files: Optional[Dict[str, int]] = None,
         workers: Optional[int] = None,
     ) -> Site:
-        """Install a subscriber's site: document tree + worker processes."""
+        """Install a subscriber's site: document tree + worker processes.
+
+        The tree goes into the machine's catalog, which a cluster shares
+        across its nodes; the site's names are interned, so each node
+        holds only its own processes and counters.
+        """
         if host in self.sites:
             raise RuntimeError("site {!r} already hosted".format(host))
-        docroot = "/sites/{}".format(host)
+        docroot = site_docroot(host)
         if files:
             self.machine.fs.add_tree(docroot, files)
         worker_count = workers or self.workers_per_site
-        master = self.machine.procs.spawn("httpd[{}]".format(host))
+        master = self.machine.procs.spawn(sys.intern("httpd[{}]".format(host)))
         worker_procs = [
-            self.machine.procs.spawn("httpd-w{}[{}]".format(i, host), parent=master)
+            self.machine.procs.spawn(
+                sys.intern("httpd-w{}[{}]".format(i, host)), parent=master
+            )
             for i in range(worker_count)
         ]
         site = Site(

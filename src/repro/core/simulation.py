@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.cluster.filesystem import FileSystem
 from repro.cluster.machine import Machine
-from repro.cluster.webserver import WebServer
+from repro.cluster.webserver import WebServer, site_docroot
 from repro.core.config import HEDGE_OFF, GageConfig
 from repro.core.feedback import AccountingMessage
 from repro.core.grps import ResourceVector
@@ -99,6 +100,13 @@ class GageCluster:
         self.rdn = PrimaryRDN(
             env, self.config, self.cluster_ip, self.subscribers, placement=placement
         )
+        #: The document catalog every RPN's ``Machine`` shares: a site's
+        #: tree is the same on every node, so it is registered once.
+        self.fs = FileSystem()
+        for subscriber in self.subscribers:
+            self.fs.add_tree(
+                site_docroot(subscriber.name), site_files.get(subscriber.name, {})
+            )
         self.machines: List[Machine] = []
         self.webservers: List[WebServer] = []
         self.agents: List[RPNAccountingAgent] = []
@@ -152,25 +160,15 @@ class GageCluster:
         self.switches: List[Switch] = []
 
         if fidelity == "packet":
-            self._build_packet_mode(
-                num_clients,
-                num_secondaries,
-                site_files,
-                workers_per_site,
-            )
+            self._build_packet_mode(num_clients, num_secondaries, workers_per_site)
         else:
             if num_secondaries:
                 raise ValueError("secondary RDNs only exist in packet mode")
-            self._build_flow_mode(site_files, workers_per_site)
+            self._build_flow_mode(workers_per_site)
 
     # -- construction -----------------------------------------------------------
 
-    def _make_webserver(
-        self,
-        index: int,
-        site_files: Dict[str, Dict[str, int]],
-        workers_per_site: int,
-    ) -> WebServer:
+    def _make_webserver(self, index: int, workers_per_site: int) -> WebServer:
         spec = self.topology.nodes[index]
         machine = Machine(
             self.env,
@@ -187,6 +185,7 @@ class GageCluster:
                 if spec.disk_transfer_bps is None
                 else spec.disk_transfer_bps
             ),
+            fs=self.fs,
         )
         server = WebServer(
             machine,
@@ -195,9 +194,7 @@ class GageCluster:
             overhead_cpu_s=self.rpn_overhead_cpu_s,
         )
         for subscriber in self.subscribers:
-            server.host_site(
-                subscriber.name, files=site_files.get(subscriber.name, {})
-            )
+            server.host_site(subscriber.name)
         rpn_id = "rpn{}".format(index)
         server.on_complete.append(
             lambda host, request, usage, at, _rpn=rpn_id: self._on_complete_from(
@@ -241,15 +238,11 @@ class GageCluster:
         if issued is not None and issued <= at:
             self.latencies.append((at, host, at - issued))
 
-    def _build_flow_mode(
-        self,
-        site_files: Dict[str, Dict[str, int]],
-        workers_per_site: int,
-    ) -> None:
+    def _build_flow_mode(self, workers_per_site: int) -> None:
         num_rpns = self.topology.num_rpns
         servers: Dict[str, WebServer] = {}
         for index, spec in enumerate(self.topology.nodes):
-            server = self._make_webserver(index, site_files, workers_per_site)
+            server = self._make_webserver(index, workers_per_site)
             rpn_id = "rpn{}".format(index)
             servers[rpn_id] = server
             capacity = spec.capacity_per_s()
@@ -368,11 +361,7 @@ class GageCluster:
             )
 
     def _build_packet_mode(
-        self,
-        num_clients: int,
-        num_secondaries: int,
-        site_files: Dict[str, Dict[str, int]],
-        workers_per_site: int,
+        self, num_clients: int, num_secondaries: int, workers_per_site: int
     ) -> None:
         num_rpns = self.topology.num_rpns
         self._build_fabric(num_clients, num_secondaries)
@@ -388,7 +377,7 @@ class GageCluster:
 
         # Back-end RPNs, each on its own access link off its fabric switch.
         for index, spec in enumerate(self.topology.nodes):
-            server = self._make_webserver(index, site_files, workers_per_site)
+            server = self._make_webserver(index, workers_per_site)
             machine = server.machine
             rpn_id = "rpn{}".format(index)
             rpn_ip = IPAddress("10.0.1.{}".format(index + 1))
@@ -661,9 +650,11 @@ class GageCluster:
             raise ValueError(
                 "subscriber {!r} already in the cluster".format(subscriber.name)
             )
-        for server in self.webservers:
-            if subscriber.name not in server.sites:
-                server.host_site(subscriber.name, files=dict(files or {}))
+        hosts = [s for s in self.webservers if subscriber.name not in s.sites]
+        if hosts and files:
+            self.fs.add_tree(site_docroot(subscriber.name), files)
+        for server in hosts:
+            server.host_site(subscriber.name)
         self.subscribers.append(subscriber)
         self.rdn.register_subscriber(subscriber)
 

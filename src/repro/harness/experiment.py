@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.besteffort import BestEffortDispatcher
+from repro.cluster.filesystem import FileSystem
 from repro.cluster.machine import Machine
-from repro.cluster.webserver import WebServer
+from repro.cluster.webserver import WebServer, site_docroot
 from repro.core.config import GageConfig
 from repro.core.metrics import (
     ServiceReport,
@@ -308,9 +309,12 @@ def _scalability_baseline_run(
         duration_s=duration_s,
         file_bytes=GENERIC_PAGE_BYTES,
     )
+    fs = FileSystem()
+    for name in names:
+        fs.add_tree(site_docroot(name), workload.site_files(name))
     webservers = []
     for index in range(num_rpns):
-        machine = Machine(env, "rpn{}".format(index))
+        machine = Machine(env, "rpn{}".format(index), fs=fs)
         server = WebServer(
             machine,
             cost_model=SCALABILITY_COST_MODEL,
@@ -318,8 +322,8 @@ def _scalability_baseline_run(
             overhead_cpu_s=0.0,  # no Gage layer
         )
         for name in names:
-            server.host_site(name, files=workload.site_files(name))
-        for path, size in machine.fs.walk():
+            server.host_site(name)
+        for path, size in fs.walk():
             machine.cache.insert(path, size)
         webservers.append(server)
     dispatcher = BestEffortDispatcher(env, webservers)

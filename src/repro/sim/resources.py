@@ -43,6 +43,8 @@ class Request(Event):
 class Resource:
     """A server with fixed integer capacity and a FIFO wait queue."""
 
+    __slots__ = ("env", "_capacity", "_users", "_queue")
+
     def __init__(self, env: "Environment", capacity: int = 1) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1, got {}".format(capacity))
